@@ -16,12 +16,17 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .exactla import MatrixFormatError, SizeGuardExceeded, dense_rank_oracle, load_matrix, rref
-from .jacobian import CharacteristicError, JacobianRing, ci_hilbert_coefficients
+from .jacobian import (
+    CharacteristicError,
+    DimConflict,
+    HilbertMismatch,
+    JacobianRing,
+    ci_hilbert_coefficients,
+)
 from .lefschetz import wlp_sweep
 from .polyring import (
     HomogeneousForm,
@@ -54,22 +59,20 @@ EXIT_USAGE = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_SMOOTH = 4
+EXIT_RESOURCE = 5
+EXIT_INTERNAL = 6
 
 
 class CliError(Exception):
     """Input or configuration problem; message goes to stderr, exit 1."""
 
 
-@dataclass
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    trials: int = 3
-    fmt: str = "text"
-    cache: Optional[Path] = None
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a CliError, so it exits 1 like any
+    other usage error instead of argparse's 2, which means not certified."""
 
-    def as_json(self) -> dict:
-        return {"prime": self.prime, "seed": self.seed, "trials": self.trials}
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def form_fingerprint(form: HomogeneousForm) -> str:
@@ -104,11 +107,10 @@ class RankCache:
                     ring.set_dim(entry["degree"], entry["cols"] - entry["rank"])
                     self.hits += 1
 
-    def store(self, ring: JacobianRing, fingerprint: str, skip: set[int]) -> None:
+    def store(self, ring: JacobianRing, fingerprint: str) -> None:
+        """Append the dims the ring computed; preloaded ones are on file."""
         lines = []
-        for degree, dim in sorted(ring.known_dims().items()):
-            if degree in skip:
-                continue
+        for degree, dim in sorted(ring.computed_dims().items()):
             cols = monomial_count(ring.n, degree)
             lines.append(json.dumps({"form": fingerprint, "prime": ring.field.p,
                                      "degree": degree, "cols": cols,
@@ -163,11 +165,15 @@ def check_prime_exceeds_degree(prime: int, d: int) -> None:
         raise CliError(f"prime {prime} must exceed the form degree {d}")
 
 
-def emit(report: dict, cfg: RunConfig, text_lines: list[str]) -> None:
-    if cfg.fmt == "json":
+def emit(report: dict, fmt: str, text_lines: list[str]) -> None:
+    if fmt == "json":
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(text_lines))
+
+
+def _config(args) -> dict:
+    return {"prime": args.prime, "seed": args.seed, "trials": args.trials}
 
 
 def _timings(t0: float, cache: Optional[RankCache]) -> dict:
@@ -177,80 +183,78 @@ def _timings(t0: float, cache: Optional[RankCache]) -> dict:
     return out
 
 
-def _with_cache(cfg: RunConfig, ring: JacobianRing, fingerprint: str):
-    cache = RankCache(cfg.cache) if cfg.cache else None
-    preloaded: set[int] = set()
-    if cache:
-        cache.preload(ring, fingerprint)
-        preloaded = set(ring.known_dims())
-    return cache, preloaded
+class FormRun:
+    """The steps every form command shares: field, form and input
+    description, the prime-versus-degree check, the ring with its rank
+    cache, and the report envelope with timings.  A command adds only its
+    computation and the verdict fields and text lines it renders."""
+
+    def __init__(self, args):
+        self.t0 = time.perf_counter()
+        self.args = args
+        self.form, self.input = load_input_form(args, make_field(args))
+        check_prime_exceeds_degree(args.prime, self.form.degree)
+        self.fingerprint = form_fingerprint(self.form)
+        self.cache = RankCache(args.cache) if args.cache else None
+        self.ring: Optional[JacobianRing] = None
+
+    def open_ring(self) -> JacobianRing:
+        if self.form.degree < 2:
+            raise CliError(f"a Jacobian ring needs degree >= 2, the form has "
+                           f"degree {self.form.degree}")
+        self.ring = JacobianRing(self.form)
+        if self.cache:
+            self.cache.preload(self.ring, self.fingerprint)
+        return self.ring
+
+    def finish(self, code: int, fields: dict, text_lines: list[str]) -> int:
+        if self.cache and self.ring:
+            self.cache.store(self.ring, self.fingerprint)
+        report = {"command": self.args.command, "input": self.input,
+                  "config": _config(self.args), **fields,
+                  "timings_ms": _timings(self.t0, self.cache)}
+        emit(report, self.args.fmt, text_lines)
+        return code
 
 
-def cmd_hilbert(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    field = make_field(args)
-    form, input_desc = load_input_form(args, field)
-    check_prime_exceeds_degree(cfg.prime, form.degree)
-    ring = JacobianRing(form)
-    fp = form_fingerprint(form)
-    cache, preloaded = _with_cache(cfg, ring, fp)
+def cmd_hilbert(args) -> int:
+    run = FormRun(args)
+    ring = run.open_ring()
     dims = list(ring.hilbert_function())
     certified = ring.certify_smooth()
-    if cache:
-        cache.store(ring, fp, preloaded)
     verdict = "Certified" if certified else "NotCertified"
     expected = ci_hilbert_coefficients(ring.n, ring.degree)
-    report = {
-        "command": "hilbert", "input": input_desc, "config": cfg.as_json(),
-        "verdict": verdict, "dims": dims, "rank": None,
-        "timings_ms": _timings(t0, cache),
-    }
     lines = [
-        f"hilbert: n={ring.n} d={ring.degree} prime={cfg.prime}",
+        f"hilbert: n={ring.n} d={ring.degree} prime={args.prime}",
         f"dims R_0..R_{ring.socle + 1}: {dims}",
         f"CI series (socle {ring.socle}): {expected}",
         f"smoothness: {verdict}",
     ]
-    emit(report, cfg, lines)
-    return EXIT_OK if certified else EXIT_NOT_CERTIFIED
+    return run.finish(EXIT_OK if certified else EXIT_NOT_CERTIFIED,
+                      {"verdict": verdict, "dims": dims, "rank": None}, lines)
 
 
-def cmd_wlp(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    field = make_field(args)
-    form, input_desc = load_input_form(args, field)
-    check_prime_exceeds_degree(cfg.prime, form.degree)
-    ring = JacobianRing(form)
-    fp = form_fingerprint(form)
-    cache, preloaded = _with_cache(cfg, ring, fp)
+def cmd_wlp(args) -> int:
+    run = FormRun(args)
+    ring = run.open_ring()
     if not ring.certify_smooth():
-        report = {
-            "command": "wlp", "input": input_desc, "config": cfg.as_json(),
-            "verdict": "SmoothnessNotCertified", "dims": None, "rank": None,
-            "timings_ms": _timings(t0, cache),
-        }
-        emit(report, cfg, [f"wlp: smoothness not certified at prime {cfg.prime}"])
-        return EXIT_NOT_CERTIFIED
-    sweep = wlp_sweep(ring, trials=cfg.trials, rng_seed=cfg.seed)
+        return run.finish(EXIT_NOT_CERTIFIED,
+                          {"verdict": "SmoothnessNotCertified", "dims": None, "rank": None},
+                          [f"wlp: smoothness not certified at prime {args.prime}"])
+    sweep = wlp_sweep(ring, trials=args.trials, rng_seed=args.seed)
     dims = list(ring.hilbert_function())
-    if cache:
-        cache.store(ring, fp, preloaded)
     detail = {str(p): {"outcome": v.outcome, "required": v.required_rank,
                        "best": v.best_rank, "trials": v.trials_used}
               for p, v in sorted(sweep.verdicts.items())}
     verdict = "WLPCertified" if sweep.holds else "WLPNotCertified"
-    report = {
-        "command": "wlp", "input": input_desc, "config": cfg.as_json(),
-        "verdict": verdict, "dims": dims, "rank": None, "detail": detail,
-        "timings_ms": _timings(t0, cache),
-    }
-    lines = [f"wlp: n={ring.n} d={ring.degree} prime={cfg.prime} seed={cfg.seed}",
+    lines = [f"wlp: n={ring.n} d={ring.degree} prime={args.prime} seed={args.seed}",
              f"dims: {dims}"]
     for p, v in sorted(sweep.verdicts.items()):
         lines.append(f"  degree {p}: {v.outcome} rank {v.best_rank}/{v.required_rank}")
     lines.append(f"weak Lefschetz: {verdict}")
-    emit(report, cfg, lines)
-    return EXIT_OK if sweep.holds else EXIT_NOT_CERTIFIED
+    return run.finish(EXIT_OK if sweep.holds else EXIT_NOT_CERTIFIED,
+                      {"verdict": verdict, "dims": dims, "rank": None, "detail": detail},
+                      lines)
 
 
 _MAXVAR_EXIT = {
@@ -262,43 +266,28 @@ _MAXVAR_EXIT = {
 }
 
 
-def cmd_maxvar(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    field = make_field(args)
-    form, input_desc = load_input_form(args, field)
-    check_prime_exceeds_degree(cfg.prime, form.degree)
-    input_desc["kind"] = args.kind
-    input_desc["e"] = args.e
-    geom = GeometryInput(args.kind, form, args.e)
-    cache = RankCache(cfg.cache) if cfg.cache else None
-    preloaded: set[int] = set()
-    ring = None
-    if cache and geom.gate_violation() is None:
-        ring = JacobianRing(form)
-        cache.preload(ring, form_fingerprint(form))
-        preloaded = set(ring.known_dims())
-    if args.kind == KIND_HYPERSURFACE:
-        rep = maxvar_hypersurface(geom, trials=cfg.trials, seed=cfg.seed, ring=ring)
-    else:
-        rep = maxvar_double_cover(geom, trials=cfg.trials, seed=cfg.seed, ring=ring)
-    if cache and ring is not None:
-        cache.store(ring, form_fingerprint(form), preloaded)
+def cmd_maxvar(args) -> int:
+    run = FormRun(args)
+    run.input.update(kind=args.kind, e=args.e)
+    geom = GeometryInput(args.kind, run.form, args.e)
+    # the gate comes first: it is what rejects forms no ring can be built for
+    ring = run.open_ring() if geom.gate_violation() is None else None
+    decide = maxvar_hypersurface if args.kind == KIND_HYPERSURFACE else maxvar_double_cover
+    rep = decide(geom, trials=args.trials, seed=args.seed, ring=ring)
     prov = rep.provenance
-    report = {
-        "command": "maxvar", "input": input_desc, "config": cfg.as_json(),
+    fields = {
         "verdict": rep.verdict,
         "dims": [prov.get("dim_source"), prov.get("dim_target")],
         "rank": prov.get("rank"),
         "detail": {"criterion": rep.criterion, "reason": rep.detail,
                    "note": rep.note},
-        "timings_ms": _timings(t0, cache),
     }
     if rep.failure_bound is not None:
-        report["failure_bound"] = str(rep.failure_bound)
+        fields["failure_bound"] = str(rep.failure_bound)
     if rep.witness is not None:
-        report["witness"] = form_to_str(rep.witness)
-    lines = [f"maxvar {args.kind}: n={form.n} d={form.degree} e={args.e} "
-             f"prime={cfg.prime} seed={cfg.seed}",
+        fields["witness"] = form_to_str(rep.witness)
+    lines = [f"maxvar {args.kind}: n={run.form.n} d={run.form.degree} e={args.e} "
+             f"prime={args.prime} seed={args.seed}",
              f"criterion: {rep.criterion}",
              f"verdict: {rep.verdict}",
              f"  {rep.detail}"]
@@ -308,11 +297,10 @@ def cmd_maxvar(args, cfg: RunConfig) -> int:
         lines.append(f"  failure bound: {rep.failure_bound}")
     if rep.witness is not None:
         lines.append(f"  kernel witness G: {form_to_str(rep.witness)}")
-    emit(report, cfg, lines)
-    return _MAXVAR_EXIT[rep.verdict]
+    return run.finish(_MAXVAR_EXIT[rep.verdict], fields, lines)
 
 
-def cmd_rank_oracle(args, cfg: RunConfig) -> int:
+def cmd_rank_oracle(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.matrix_file)
     try:
@@ -324,17 +312,14 @@ def cmd_rank_oracle(args, cfg: RunConfig) -> int:
     if not is_prime(mat.p):
         raise CliError(f"matrix modulus {mat.p} is not prime")
     sparse_rank = rref(mat).rank
-    try:
-        oracle_rank = dense_rank_oracle(mat)
-    except SizeGuardExceeded as exc:
-        raise CliError(str(exc)) from None
+    oracle_rank = dense_rank_oracle(mat)
     agree = sparse_rank == oracle_rank
     verdict = "RankAgreement" if agree else "RankMismatch"
     report = {
         "command": "rank-oracle",
         "input": {"source": str(path), "nrows": mat.nrows, "ncols": mat.ncols,
                   "modulus": mat.p},
-        "config": cfg.as_json(),
+        "config": _config(args),
         "verdict": verdict, "dims": [mat.nrows, mat.ncols],
         "rank": sparse_rank, "detail": {"oracle_rank": oracle_rank},
         "timings_ms": _timings(t0, None),
@@ -342,7 +327,7 @@ def cmd_rank_oracle(args, cfg: RunConfig) -> int:
     lines = [f"rank-oracle: {mat.nrows}x{mat.ncols} mod {mat.p}",
              f"echelon rank = {sparse_rank}, oracle rank = {oracle_rank}",
              verdict]
-    emit(report, cfg, lines)
+    emit(report, args.fmt, lines)
     return EXIT_OK if agree else EXIT_NOT_CERTIFIED
 
 
@@ -363,7 +348,7 @@ def _add_common(sub: argparse.ArgumentParser, with_form: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varcert",
         description="certify maximal-variation and weak-Lefschetz rank "
                     "conditions on Jacobian rings by exact linear algebra "
@@ -389,20 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(prime=args.prime, seed=args.seed, trials=args.trials,
-                    fmt=args.fmt, cache=args.cache)
     try:
-        return args.func(args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CharacteristicError as exc:
+        args = build_parser().parse_args(argv)
+        if args.trials < 1:
+            raise CliError(f"--trials must be >= 1, got {args.trials}")
+        return args.func(args)
+    except (CliError, CharacteristicError, DimConflict) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PolyError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeGuardExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (HilbertMismatch, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
 """Exact row reduction and rank certificates over Z/p.
 
-Three elimination backends sit behind rref(), chosen by modulus size:
+Two elimination backends sit behind rref(), chosen by modulus size:
 
   p <= 2^23   blocked float64 Gauss-Jordan; BLAS does the trailing updates.
               Exact because every intermediate is a non-negative integer
               below 2^53 (products < (p-1)^2 < 2^46, GEMM inner dimension
               capped so accumulated sums stay below 2^53).
-  p <  2^31   dense int64 Gauss-Jordan, one rank-1 update per pivot
-              (products < 2^62 fit in int64).
   otherwise   sparse row-dict insertion with Python integers, any p < 2^62.
 
-All three produce the same object: the reduced row echelon form, which is
+Both produce the same object: the reduced row echelon form, which is
 unique, so pivot columns and quotient coordinates do not depend on the
 backend or on row order.  dense_rank_oracle() is a deliberately separate
 textbook elimination used only to cross-check ranks.
@@ -93,7 +91,11 @@ class FieldMatrix:
 
 
 class EchelonResult:
-    """Reduced row echelon form: pivot columns plus the normalized rows."""
+    """Reduced row echelon form: pivot columns plus the normalized rows.
+
+    The pivot columns of a reduced echelon form hold the identity, so of
+    dense rows only the (rank x free columns) block is kept; sparse rows are
+    kept as dicts, unit pivot included."""
 
     def __init__(self, p: int, ncols: int, pivots: tuple[int, ...],
                  dense: Optional[np.ndarray] = None,
@@ -101,7 +103,9 @@ class EchelonResult:
         self.p = p
         self.ncols = ncols
         self.pivots = pivots
-        self._dense = dense
+        pivset = set(pivots)
+        self._free = tuple(j for j in range(ncols) if j not in pivset)
+        self._block = None if dense is None else dense[:, list(self._free)]
         self._sparse = sparse
 
     @property
@@ -109,34 +113,28 @@ class EchelonResult:
         return len(self.pivots)
 
     def free_columns(self) -> tuple[int, ...]:
-        pivset = set(self.pivots)
-        return tuple(j for j in range(self.ncols) if j not in pivset)
+        return self._free
 
     def row_as_dict(self, k: int) -> dict[int, int]:
         if self._sparse is not None:
             return dict(self._sparse[k])
-        r = self._dense[k]
-        nz = np.nonzero(r)[0]
-        return {int(j): int(r[j]) for j in nz}
+        r = self._block[k]
+        out = {self.pivots[k]: 1}
+        out.update((self._free[j], int(r[j])) for j in np.nonzero(r)[0])
+        return out
 
     def reduce_vector(self, vec: Sequence[int]) -> list[int]:
         """Normal form of vec modulo the row space; zero on pivot columns."""
         p = self.p
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        if not self.pivots:
-            return [int(v) % p for v in vec]
-        if self._dense is not None and p <= FLOAT_TIER_MAX:
-            v = np.asarray([int(x) % p for x in vec], dtype=np.float64)
-            coeffs = v[list(self.pivots)].reshape(1, -1)
-            red = _matmul_modp(coeffs, self._dense.astype(np.float64), p)
-            out = np.mod(v - red[0], p)
-            return [int(x) for x in out]
         out = [int(x) % p for x in vec]
+        if self._block is not None:
+            return [int(x) for x in self.reduce_block(np.array([out], dtype=np.int64))[0]]
         for k, c in enumerate(self.pivots):
             f = out[c]
             if f:
-                for j, rv in self.row_as_dict(k).items():
+                for j, rv in self._sparse[k].items():
                     out[j] = (out[j] - f * rv) % p
         return out
 
@@ -147,14 +145,17 @@ class EchelonResult:
             raise ValueError("block width does not match column count")
         if not self.pivots:
             return block % p
-        if self._dense is not None and p <= FLOAT_TIER_MAX:
-            v = (block % p).astype(np.float64)
-            coeffs = v[:, list(self.pivots)]
-            red = _matmul_modp(coeffs, self._dense.astype(np.float64), p)
-            return np.mod(v - red, p).astype(np.int64)
-        out = np.empty_like(block)
-        for i in range(block.shape[0]):
-            out[i] = self.reduce_vector([int(x) for x in block[i]])
+        if self._block is None:
+            out = np.empty_like(block)
+            for i in range(block.shape[0]):
+                out[i] = self.reduce_vector([int(x) for x in block[i]])
+            return out
+        v = (block % p).astype(np.float64)
+        free = list(self._free)
+        out = np.zeros(block.shape, dtype=np.int64)
+        if free:
+            red = _matmul_modp(v[:, list(self.pivots)], self._block, p)
+            out[:, free] = np.mod(v[:, free] - red, p)
         return out
 
 
@@ -273,35 +274,7 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
             residue = np.mod(residue - _matmul_modp(orig[live][:, pc], rbuf[:npiv], p), p)
         if np.any(residue):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")
-    dense = rbuf[:npiv].astype(np.int64)
-    return EchelonResult(p, c, tuple(pivots), dense=dense)
-
-
-def _rref_int64(mat: FieldMatrix) -> EchelonResult:
-    p = mat.p
-    r, c = mat.nrows, mat.ncols
-    w = mat.to_dense_int64() % p
-    npiv = 0
-    pivots: list[int] = []
-    for j in range(c):
-        if npiv >= r:
-            break
-        nz = np.nonzero(w[npiv:, j])[0]
-        if nz.size == 0:
-            continue
-        t = npiv + int(nz[0])
-        if t != npiv:
-            w[[npiv, t]] = w[[t, npiv]]
-        inv = pow(int(w[npiv, j]), p - 2, p)
-        w[npiv] = w[npiv] * inv % p
-        col = w[:, j].copy()
-        col[npiv] = 0
-        nzc = np.nonzero(col)[0]
-        if nzc.size:
-            w[nzc] = (w[nzc] - np.outer(col[nzc], w[npiv])) % p
-        pivots.append(j)
-        npiv += 1
-    return EchelonResult(p, c, tuple(pivots), dense=w[:npiv])
+    return EchelonResult(p, c, tuple(pivots), dense=rbuf[:npiv])
 
 
 def _rref_sparse(mat: FieldMatrix) -> EchelonResult:
@@ -346,8 +319,6 @@ def rref(mat: FieldMatrix) -> EchelonResult:
         return EchelonResult(mat.p, mat.ncols, (), sparse=[])
     if mat.p <= FLOAT_TIER_MAX:
         return _rref_float_blocked(mat)
-    if mat.p < INT64_TIER_MAX:
-        return _rref_int64(mat)
     return _rref_sparse(mat)
 
 

@@ -36,6 +36,11 @@ class HilbertMismatch(Exception):
     complete-intersection series; indicates an internal arithmetic bug."""
 
 
+class DimConflict(Exception):
+    """A dimension installed with set_dim disagrees with the one the
+    echelon of the same degree gives."""
+
+
 def _comb0(m: int, k: int) -> int:
     return math.comb(m, k) if m >= k >= 0 else 0
 
@@ -73,7 +78,7 @@ class JacobianRing:
         self.degree = form.degree
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
-        self._dims: dict[int, int] = {}
+        self._installed: dict[int, int] = {}
         self._ech: dict[int, EchelonResult] = {}
         self._smooth: bool | None = None
 
@@ -97,23 +102,27 @@ class JacobianRing:
         return FieldMatrix(self.field.p, len(rows), cols, rows)
 
     def echelon(self, p: int) -> EchelonResult:
+        """Reduced echelon form of the degree-p ideal matrix, computed once
+        and kept; raises DimConflict when it contradicts an installed dim."""
         if p not in self._ech:
             e = rref(self.ideal_matrix(p))
+            dim = e.ncols - e.rank
+            if self._installed.get(p, dim) != dim:
+                raise DimConflict(
+                    f"degree {p}: cached dim {self._installed[p]} but "
+                    f"elimination gives {dim}")
             self._ech[p] = e
-            self._dims[p] = e.ncols - e.rank
         return self._ech[p]
 
     def graded_dim(self, p: int) -> int:
-        """dim R_p; does not retain the echelon for degrees it computes."""
+        """dim R_p: an installed dim if there is one, otherwise read off
+        echelon(p), which is kept for later use; 0 in negative degree."""
         if p < 0:
             return 0
-        if p not in self._dims:
-            if p in self._ech:
-                e = self._ech[p]
-            else:
-                e = rref(self.ideal_matrix(p))
-            self._dims[p] = e.ncols - e.rank
-        return self._dims[p]
+        if p in self._installed:
+            return self._installed[p]
+        e = self.echelon(p)
+        return e.ncols - e.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
         """Monomials at the non-pivot columns of the ideal matrix echelon;
@@ -126,11 +135,16 @@ class JacobianRing:
 
     def set_dim(self, p: int, dim: int) -> None:
         """Install an externally cached dimension (trusted, e.g. from a
-        previous run at the same prime)."""
-        self._dims[p] = dim
+        previous run at the same prime) that spares eliminating degree p."""
+        self._installed[p] = dim
 
     def known_dims(self) -> dict[int, int]:
-        return dict(self._dims)
+        return {**self.computed_dims(), **self._installed}
+
+    def computed_dims(self) -> dict[int, int]:
+        """Dims this ring eliminated itself, without the installed ones."""
+        return {p: e.ncols - e.rank for p, e in self._ech.items()
+                if p not in self._installed}
 
     def certify_smooth(self) -> bool:
         """True when the piece past the socle vanishes, which proves the

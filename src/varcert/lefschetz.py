@@ -23,7 +23,6 @@ from .polyring import HomogeneousForm, enumerate_monomials, monomial_index, mult
 
 CERTIFIED_MAX_RANK = "CertifiedMaxRank"
 PROBABLY_DEFICIENT = "ProbablyDeficient"
-INDETERMINATE = "Indeterminate"  # reserved; no current code path produces it
 
 DEFAULT_TRIALS = 3
 

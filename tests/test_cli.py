@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from varcert.cli import main
-from varcert.polyring import PrimeField, form_to_str, parse_form
+from varcert.cli import form_fingerprint, main
+from varcert.polyring import PrimeField, form_to_str, monomial_count, parse_form
 
 P = "1048573"
 
@@ -207,3 +207,67 @@ def test_rank_oracle_agreement_and_bad_modulus(capsys, tmp_path):
     corrupt.write_text("2 2 10007\n0 5 3\n")
     code, _, err = run(capsys, "rank-oracle", str(corrupt))
     assert code == 1 and "bad matrix dump" in err
+
+
+def test_argparse_errors_exit_1(capsys):
+    for argv in (("hilbert", "--fermat", "3", "4", "--format", "xml"),
+                 ("maxvar", "hypersurface", "--fermat", "3", "4", "-e", "x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument") and err.count("\n") == 1
+
+
+def test_trials_below_one_exit_1(capsys, tmp_path):
+    good = tmp_path / "m.txt"
+    good.write_text("1 1 10007\n0 0 4\n")
+    for argv in (("hilbert", "--fermat", "3", "4"),
+                 ("wlp", "--fermat", "3", "4"),
+                 ("maxvar", "hypersurface", "--fermat", "3", "4"),
+                 ("rank-oracle", str(good))):
+        code, out, err = run(capsys, *argv, "--prime", P, "--trials", "0")
+        assert code == 1 and out == "" and "--trials" in err
+
+
+def test_degree_one_form_exit_1(capsys, tmp_path):
+    f = tmp_path / "linear.txt"
+    f.write_text("x0 + x1 + x2")
+    for command in ("hilbert", "wlp"):
+        code, out, err = run(capsys, command, str(f), "--prime", P)
+        assert code == 1 and out == "" and "degree >= 2" in err
+
+
+def test_size_guard_exit_5(capsys):
+    code, out, err = run(capsys, "maxvar", "hypersurface", "--fermat", "8", "30")
+    assert code == 5 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
+def _cache_line(form_text, n, prime, degree, rank):
+    form = parse_form(form_text, n, PrimeField(prime))
+    return json.dumps({"form": form_fingerprint(form), "prime": prime,
+                       "degree": degree, "cols": monomial_count(n, degree),
+                       "rank": rank}) + "\n"
+
+
+def test_cache_line_contradicting_elimination_exit_1(capsys, tmp_path):
+    # dim R_3 of the Fermat quartic is 16 = 20 - 4; the line claims 15
+    cache = tmp_path / "ranks.jsonl"
+    cache.write_text(_cache_line("x0^4 + x1^4 + x2^4 + x3^4", 3, 1048573, 3, 5))
+    code, out, err = run(capsys, "maxvar", "hypersurface", "--fermat", "3", "4",
+                         "--prime", P, "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert "degree 3" in err and "15" in err and "16" in err
+
+
+def test_hilbert_mismatch_exit_6(capsys, tmp_path):
+    # socle+1 lines are still trusted: one claiming R_9 = 0 for a singular
+    # quartic certifies smoothness, and the series check then catches it
+    text = "x0^2*x1^2 + x1^4 + x2^4 + x3^4"
+    form = tmp_path / "singular.txt"
+    form.write_text(text)
+    cache = tmp_path / "ranks.jsonl"
+    cache.write_text(_cache_line(text, 3, 1048573, 9, 220))
+    code, out, err = run(capsys, "hilbert", str(form), "--prime", P,
+                         "--cache", str(cache))
+    assert code == 6 and out == ""
+    assert err.startswith("internal error: HilbertMismatch") and err.count("\n") == 1

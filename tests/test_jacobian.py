@@ -169,3 +169,20 @@ def test_set_dim_short_circuits_computation():
     # without touching the (large) degree-11 matrix
     assert ring.certify_smooth()
     assert ring.known_dims() == {11: 0}
+
+
+def test_each_degree_is_eliminated_once(monkeypatch):
+    import varcert.jacobian as jacobian
+    calls = []
+    real = jacobian.rref
+
+    def counting(mat):
+        calls.append(mat.ncols)
+        return real(mat)
+
+    monkeypatch.setattr(jacobian, "rref", counting)
+    ring = fermat_ring(3, 4, F)
+    ring.hilbert_function()
+    for p in range(ring.socle + 2):
+        ring.quotient_basis(p)
+    assert len(calls) == ring.socle + 2
