@@ -33,7 +33,6 @@ from .polyring import (
     PolyError,
     PrimeField,
     form_to_str,
-    is_prime,
     monomial_count,
     parse_form,
 )
@@ -91,8 +90,12 @@ class RankCache:
         self.hits = 0
 
     def preload(self, ring: JacobianRing, fingerprint: str) -> None:
+        """Install the cached dims of this form and prime, one per degree;
+        lines that repeat a degree must agree (concurrent appends can
+        duplicate a line), otherwise DimConflict."""
         if not self.path.exists():
             return
+        dims: dict[int, int] = {}
         with open(self.path) as fh:
             for line in fh:
                 try:
@@ -104,8 +107,14 @@ class RankCache:
                         and isinstance(entry.get("degree"), int)
                         and isinstance(entry.get("rank"), int)
                         and entry.get("cols") == monomial_count(ring.n, entry["degree"])):
-                    ring.set_dim(entry["degree"], entry["cols"] - entry["rank"])
-                    self.hits += 1
+                    degree, dim = entry["degree"], entry["cols"] - entry["rank"]
+                    if dims.setdefault(degree, dim) != dim:
+                        raise DimConflict(
+                            f"degree {degree}: cache lines give dims "
+                            f"{dims[degree]} and {dim}")
+        for degree, dim in dims.items():
+            ring.set_dim(degree, dim)
+        self.hits += len(dims)
 
     def store(self, ring: JacobianRing, fingerprint: str) -> None:
         """Append the dims the ring computed; preloaded ones are on file."""
@@ -309,8 +318,10 @@ def cmd_rank_oracle(args) -> int:
         raise CliError(f"cannot read {path}: {exc}") from None
     except MatrixFormatError as exc:
         raise CliError(f"bad matrix dump: {exc}") from None
-    if not is_prime(mat.p):
-        raise CliError(f"matrix modulus {mat.p} is not prime")
+    try:
+        PrimeField(mat.p)
+    except ValueError as exc:
+        raise CliError(f"matrix {exc}") from None
     sparse_rank = rref(mat).rank
     oracle_rank = dense_rank_oracle(mat)
     agree = sparse_rank == oracle_rank

@@ -2,11 +2,17 @@
 
 Two elimination backends sit behind rref(), chosen by modulus size:
 
-  p <= 2^23   blocked float64 Gauss-Jordan; BLAS does the trailing updates.
-              Exact because every intermediate is a non-negative integer
-              below 2^53 (products < (p-1)^2 < 2^46, GEMM inner dimension
-              capped so accumulated sums stay below 2^53).
-  otherwise   sparse row-dict insertion with Python integers, any p < 2^62.
+  p <= 2^23        blocked float64 Gauss-Jordan; BLAS does the trailing
+                   updates.  Exact because every intermediate is a
+                   non-negative integer below 2^53 (products < (p-1)^2 < 2^46,
+                   GEMM inner dimension capped so accumulated sums stay
+                   below 2^53).
+  2^23 < p < 2^63  Gauss-Jordan by row insertion on a uint64 block of pivot
+                   rows, vectorized with numpy.  Products use Shoup's
+                   precomputed-quotient multiplication: its remainder before
+                   the one correction lies in [0, 2p), which fits in 64 bits
+                   exactly when p < 2^63.  Column sums are split at bit 31 so
+                   they cannot wrap, and are reduced once.
 
 Both produce the same object: the reduced row echelon form, which is
 unique, so pivot columns and quotient coordinates do not depend on the
@@ -25,6 +31,9 @@ import numpy as np
 FLOAT_TIER_MAX = 1 << 23
 INT64_TIER_MAX = 1 << 31
 ORACLE_CELL_LIMIT = 10 ** 7
+ROWINSERT_BLOCK_BYTES = 1 << 30
+_COMPACT_EVERY = 16
+_CHUNK = 8192  # elements per numpy temporary in the row-insertion engine
 _PANEL = 64
 
 
@@ -38,12 +47,14 @@ class MatrixFormatError(Exception):
 
 @dataclass
 class FieldMatrix:
-    """Sparse rows over Z/p: each row maps column index to a value in [1, p)."""
+    """Sparse rows over Z/p: each row maps column index to a value in [1, p).
+    rows may be any collection of nrows rows that can be iterated more than
+    once, such as one that builds them on the fly."""
 
     p: int
     nrows: int
     ncols: int
-    rows: list[dict[int, int]]
+    rows: Iterable[dict[int, int]]
 
     @classmethod
     def from_rows(cls, p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
@@ -277,41 +288,196 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
     return EchelonResult(p, c, tuple(pivots), dense=rbuf[:npiv])
 
 
-def _rref_sparse(mat: FieldMatrix) -> EchelonResult:
-    p = mat.p
-    piv: dict[int, dict[int, int]] = {}
+_M32 = np.uint64(0xFFFFFFFF)
+_M31 = np.uint64(0x7FFFFFFF)
+_S32 = np.uint64(32)
+_S31 = np.uint64(31)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a*b of uint64 arrays, from
+    32-bit halves.  No partial sum can wrap: a product of halves is at most
+    (2^32-1)^2 = 2^64 - 2^33 + 1, so one 32-bit carry still fits."""
+    a0, a1 = a & _M32, a >> _S32
+    b0, b1 = b & _M32, b >> _S32
+    t = a1 * b0 + ((a0 * b0) >> _S32)
+    u = a0 * b1 + (t & _M32)
+    return a1 * b1 + (t >> _S32) + (u >> _S32)
+
+
+class _Zp64:
+    """Exact arithmetic mod p < 2^63 on uint64 arrays.
+
+    Products use Shoup's precomputed quotient: for w < p and
+    w' = floor(w 2^64 / p), any a < 2^64 gives q = mulhi(a, w') within one
+    of floor(a w / p), so r = a w - q p, computed mod 2^64, lies in [0, 2p)
+    and one conditional subtraction of p makes it exact.  2p < 2^64 is what
+    needs p < 2^63."""
+
+    def __init__(self, p: int):
+        if p >= 1 << 63:
+            raise ValueError(f"modulus {p} is not below 2^63")
+        self.p = np.uint64(p)
+        # w' = w*floor(2^64/p) + floor(w*(2^64 mod p)/p); the second term is
+        # itself a Shoup product by the constant 2^64 mod p
+        self._c = np.uint64((1 << 64) // p)
+        r0 = (1 << 64) % p
+        self._r0 = np.uint64(r0)
+        self._r0pre = np.uint64((r0 << 64) // p)
+        self._two31 = np.uint64((1 << 31) % p)
+        self._two31pre = np.uint64((((1 << 31) % p) << 64) // p)
+
+    def pre(self, w: np.ndarray) -> np.ndarray:
+        """Shoup quotients floor(w 2^64 / p) for entries w < p."""
+        q = _mulhi(w, self._r0pre)
+        r = w * self._r0 - q * self.p
+        q += r >= self.p
+        return w * self._c + q
+
+    def mul(self, a: np.ndarray, w: np.ndarray, wpre: np.ndarray) -> np.ndarray:
+        """a*w mod p for any uint64 a and w < p with wpre = pre(w)."""
+        r = a * w - _mulhi(a, wpre) * self.p
+        return np.minimum(r, r - self.p)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        s = x + y
+        return np.minimum(s, s - self.p)
+
+    def colsum(self, terms: np.ndarray) -> np.ndarray:
+        """Column sums mod p of a (k, w) array with entries < p.  Each
+        entry is split at bit 31 and both halves are summed exactly, so one
+        reduction per column replaces k modular additions."""
+        lo = (terms & _M31).sum(axis=0, dtype=np.uint64) % self.p
+        hi = (terms >> _S31).sum(axis=0, dtype=np.uint64) % self.p
+        return self.add(self.mul(hi, self._two31, self._two31pre), lo)
+
+
+def _block_cells(nrows: int, ncols: int) -> int:
+    """Most uint64 cells the row-insertion block can hold at once.  With t
+    pivot rows stored the width is at most ncols - t + _COMPACT_EVERY (free
+    columns plus pivot columns not yet compacted away), and t rises to at
+    most min(nrows, ncols); t times that width peaks at t = (ncols +
+    _COMPACT_EVERY) / 2."""
+    def cells(t: int) -> int:
+        return t * min(ncols, ncols + _COMPACT_EVERY - t)
+
+    maxrank = min(nrows, ncols)
+    t = min(maxrank, (ncols + _COMPACT_EVERY) // 2)
+    return max(cells(t), cells(min(maxrank, t + 1)))
+
+
+def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
+    """Gauss-Jordan by row insertion for FLOAT_TIER_MAX < p < 2^63.
+
+    Each incoming row is reduced in one pass against the fully reduced
+    pivot rows (eliminating one pivot column never disturbs another),
+    normalized, and back-substituted into the pivot rows; both steps are
+    outer products in _Zp64 arithmetic.  The pivot rows live in one uint64
+    block preallocated at its largest size, whose columns are the free
+    columns plus the pivot columns found since the last compaction; on
+    those the block holds the identity, so one subtraction clears them."""
+    p, c = mat.p, mat.ncols
+    cells = _block_cells(mat.nrows, c)
+    if cells * 8 > ROWINSERT_BLOCK_BYTES:
+        raise SizeGuardExceeded(
+            f"row-insertion block needs {cells * 8} bytes for "
+            f"{mat.nrows}x{c}, over the {ROWINSERT_BLOCK_BYTES} limit")
+    zp = _Zp64(p)
+    buf = np.empty(cells, dtype=np.uint64)
+    frame = np.arange(c)                # block column -> matrix column
+    pos = np.arange(c)                  # matrix column -> block column, or -1
+    rowof = np.full(c, -1, dtype=np.intp)  # pivot column -> block row, or -1
+    pivcols: list[int] = []
+    r, w = 0, c
     for src in mat.rows:
-        row = dict(src)
-        # eliminating one pivot column never disturbs another: pivot rows
-        # are themselves fully reduced, so a single pass suffices
-        for c in sorted(set(row) & piv.keys()):
-            f = row.pop(c)
-            for j, v in piv[c].items():
-                if j == c:
-                    continue
-                nv = (row.get(j, 0) - f * v) % p
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-        if not row:
+        if not src:
             continue
-        lead = min(row)
-        inv = pow(row[lead], p - 2, p)
-        row = {j: v * inv % p for j, v in row.items()}
-        row[lead] = 1
-        for other in piv.values():
-            f = other.get(lead)
-            if f:
-                for j, v in row.items():
-                    nv = (other.get(j, 0) - f * v) % p
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
-        piv[lead] = row
-    pivots = tuple(sorted(piv))
-    return EchelonResult(p, mat.ncols, pivots, sparse=[piv[c] for c in pivots])
+        cols = np.fromiter(src.keys(), dtype=np.intp, count=len(src))
+        vals = np.fromiter((v % p for v in src.values()), dtype=np.uint64, count=len(src))
+        x = np.zeros(w, dtype=np.uint64)
+        at = pos[cols]
+        inframe = at >= 0
+        x[at[inframe]] = vals[inframe]
+        ks = rowof[cols]
+        hit = (ks >= 0) & (vals != 0)
+        if hit.any():
+            _reduce_into(zp, buf[:r * w].reshape(r, w), ks[hit], vals[hit], x)
+        nz = np.flatnonzero(x)
+        if not nz.size:
+            continue
+        inv = pow(int(x[nz[0]]), p - 2, p)
+        v = zp.mul(x[nz], np.uint64(inv), np.uint64((inv << 64) // p))
+        if r:
+            _backsubstitute(zp, buf[:r * w].reshape(r, w), nz, v)
+        row = buf[r * w:(r + 1) * w]
+        row[:] = 0
+        row[nz] = v
+        lead = int(frame[nz[0]])
+        rowof[lead] = r
+        pivcols.append(lead)
+        r += 1
+        if r % _COMPACT_EVERY == 0:
+            frame, w = _compact(buf, r, w, frame, rowof)
+            pos[:] = -1
+            pos[frame] = np.arange(w)
+    frame, w = _compact(buf, r, w, frame, rowof)
+    block = buf[:r * w].reshape(r, w)
+    free = frame.tolist()
+    rows = []
+    for k in sorted(range(r), key=pivcols.__getitem__):
+        nz = np.flatnonzero(block[k])
+        row = {pivcols[k]: 1}
+        row.update(zip([free[j] for j in nz.tolist()], block[k, nz].tolist()))
+        rows.append(row)
+    return EchelonResult(p, c, tuple(sorted(pivcols)), sparse=rows)
+
+
+def _reduce_into(zp: _Zp64, block: np.ndarray, ks: np.ndarray, f: np.ndarray,
+                 x: np.ndarray) -> None:
+    """x -= f @ block[ks] mod p, touching only columns where block[ks] is
+    nonzero."""
+    negf = (zp.p - f)[:, None]
+    negpre = zp.pre(negf)
+    step = max(1, _CHUNK // len(ks))
+    for a in range(0, block.shape[1], step):
+        sub = block[ks, a:a + step]
+        nzc = np.flatnonzero(sub.any(axis=0))
+        if nzc.size:
+            t = zp.mul(sub[:, nzc], negf, negpre)
+            at = nzc + a
+            x[at] = zp.add(x[at], zp.colsum(t))
+
+
+def _backsubstitute(zp: _Zp64, block: np.ndarray, nz: np.ndarray, v: np.ndarray) -> None:
+    """Clear column nz[0] of every pivot row with the new normalized row
+    whose nonzeros are v at block columns nz: block -= g (x) v."""
+    g = block[:, nz[0]]
+    rows = np.flatnonzero(g)
+    if not rows.size:
+        return
+    negv = zp.p - v
+    negpre = zp.pre(negv)
+    step = max(1, _CHUNK // nz.size)
+    for a in range(0, rows.size, step):
+        ix = np.ix_(rows[a:a + step], nz)
+        block[ix] = zp.add(block[ix], zp.mul(g[rows[a:a + step], None], negv, negpre))
+
+
+def _compact(buf: np.ndarray, r: int, w: int, frame: np.ndarray,
+             rowof: np.ndarray) -> tuple[np.ndarray, int]:
+    """Drop the pivot columns from the r x w block in buf, in place, a few
+    rows at a time; returns the new frame and width."""
+    keep = np.flatnonzero(rowof[frame] < 0)
+    w2 = keep.size
+    if w2 == w:
+        return frame, w
+    step = max(1, _CHUNK // w)
+    # row i moves from offset i*w to i*w2 <= i*w, so a chunk never
+    # overwrites rows that later chunks still have to read
+    for a in range(0, r, step):
+        b = min(r, a + step)
+        buf[a * w2:b * w2] = buf[a * w:b * w].reshape(b - a, w)[:, keep].ravel()
+    return frame[keep], w2
 
 
 def rref(mat: FieldMatrix) -> EchelonResult:
@@ -319,7 +485,7 @@ def rref(mat: FieldMatrix) -> EchelonResult:
         return EchelonResult(mat.p, mat.ncols, (), sparse=[])
     if mat.p <= FLOAT_TIER_MAX:
         return _rref_float_blocked(mat)
-    return _rref_sparse(mat)
+    return _rref_rowinsert(mat)
 
 
 def rank(mat: FieldMatrix) -> int:

@@ -37,8 +37,8 @@ class HilbertMismatch(Exception):
 
 
 class DimConflict(Exception):
-    """A dimension installed with set_dim disagrees with the one the
-    echelon of the same degree gives."""
+    """Two values for one graded dimension disagree: an installed one and
+    the one the echelon of the same degree gives, or two cached ones."""
 
 
 def _comb0(m: int, k: int) -> int:
@@ -63,6 +63,29 @@ def ci_hilbert_coefficients(n: int, d: int) -> list[int]:
     return out
 
 
+class _IdealRows:
+    """The rows m * dF/dx_i of a degree-p ideal matrix, m running over the
+    monomials of degree mult_deg, as sparse dicts in the degree-p monomial
+    basis.  Re-iterable: every pass builds the dicts afresh."""
+
+    def __init__(self, n: int, p: int, mult_deg: int, partials):
+        self.n, self.p, self.mult_deg, self.partials = n, p, mult_deg, partials
+
+    def __len__(self) -> int:
+        if self.mult_deg < 0:
+            return 0
+        return monomial_count(self.n, self.mult_deg) * len(self.partials)
+
+    def __iter__(self):
+        if self.mult_deg < 0:
+            return
+        idx = monomial_index(self.n, self.p)
+        for m in enumerate_monomials(self.n, self.mult_deg):
+            for fi in self.partials:
+                yield {idx[tuple(a + b for a, b in zip(m, mm))]: c
+                       for mm, c in fi.terms.items()}
+
+
 class JacobianRing:
     """Exact model of the Jacobian ring of one form at one prime."""
 
@@ -84,21 +107,15 @@ class JacobianRing:
 
     def ideal_matrix(self, p: int) -> FieldMatrix:
         """Rows span the degree-p piece of the partials' ideal; columns are
-        the degree-p monomials.  Rebuilt on each call (rows are cheap, the
-        expensive part is the echelon, which is what gets cached)."""
+        the degree-p monomials.  The rows are regenerated on every pass over
+        them (they are cheap, the echelon is what gets cached), so they are
+        never all in memory at once."""
         cols = monomial_count(self.n, p)
         if cols > IDEAL_MATRIX_COLUMN_LIMIT:
             raise SizeGuardExceeded(
                 f"degree-{p} piece has {cols} monomials, over the "
                 f"{IDEAL_MATRIX_COLUMN_LIMIT} limit")
-        idx = monomial_index(self.n, p)
-        mult_deg = p - (self.degree - 1)
-        rows: list[dict[int, int]] = []
-        if mult_deg >= 0:
-            for m in enumerate_monomials(self.n, mult_deg):
-                for fi in self.partials:
-                    rows.append({idx[tuple(a + b for a, b in zip(m, mm))]: c
-                                 for mm, c in fi.terms.items()})
+        rows = _IdealRows(self.n, p, p - (self.degree - 1), self.partials)
         return FieldMatrix(self.field.p, len(rows), cols, rows)
 
     def echelon(self, p: int) -> EchelonResult:

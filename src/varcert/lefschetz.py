@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactla import FieldMatrix, kernel_witness, rref
+from .exactla import EchelonResult, FieldMatrix, kernel_witness, rref
 from .jacobian import JacobianRing
 from .polyring import HomogeneousForm, enumerate_monomials, monomial_index, multiply, random_form
 
@@ -47,7 +47,11 @@ class GradedMap:
     source_degree: int
     target_degree: int
     matrix: FieldMatrix  # target_dim rows x source_dim columns
-    rank: int
+    echelon: EchelonResult  # of matrix, kept for the kernel witness
+
+    @property
+    def rank(self) -> int:
+        return self.echelon.rank
 
     @property
     def source_dim(self) -> int:
@@ -67,7 +71,7 @@ class GradedMap:
     def kernel_form(self) -> Optional[HomogeneousForm]:
         """Lift of a kernel vector to a degree-(p-e) form G with h*G = 0 in
         R_p, re-verified by an independent multiplication before return."""
-        vec = kernel_witness(self.matrix)
+        vec = kernel_witness(self.matrix, self.echelon)
         if vec is None:
             return None
         basis = self.ring.quotient_basis(self.source_degree)
@@ -104,7 +108,7 @@ def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
     reduced = target_ech.reduce_block(block) if len(source_basis) else block
     cols = reduced[:, list(free)] if len(free) else np.zeros((len(source_basis), 0), dtype=np.int64)
     mat = FieldMatrix.from_dense(ring.field.p, cols.T.tolist(), ncols=len(source_basis))
-    return GradedMap(ring, h, a, p, mat, rref(mat).rank)
+    return GradedMap(ring, h, a, p, mat, rref(mat))
 
 
 @dataclass

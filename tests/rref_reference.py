@@ -1,0 +1,43 @@
+"""Reference Gauss-Jordan over Z/p for the tests: sparse row dicts and
+Python integers, any modulus.  The uint64 row-insertion engine in exactla
+runs this algorithm with other storage and arithmetic, so both must return
+the same reduced echelon form."""
+
+from varcert.exactla import EchelonResult, FieldMatrix
+
+
+def rref_sparse(mat: FieldMatrix) -> EchelonResult:
+    p = mat.p
+    piv: dict[int, dict[int, int]] = {}
+    for src in mat.rows:
+        row = dict(src)
+        # eliminating one pivot column never disturbs another: pivot rows
+        # are themselves fully reduced, so a single pass suffices
+        for c in sorted(set(row) & piv.keys()):
+            f = row.pop(c)
+            for j, v in piv[c].items():
+                if j == c:
+                    continue
+                nv = (row.get(j, 0) - f * v) % p
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], p - 2, p)
+        row = {j: v * inv % p for j, v in row.items()}
+        row[lead] = 1
+        for other in piv.values():
+            f = other.get(lead)
+            if f:
+                for j, v in row.items():
+                    nv = (other.get(j, 0) - f * v) % p
+                    if nv:
+                        other[j] = nv
+                    else:
+                        other.pop(j, None)
+        piv[lead] = row
+    pivots = tuple(sorted(piv))
+    return EchelonResult(p, mat.ncols, pivots, sparse=[piv[c] for c in pivots])

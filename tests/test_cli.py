@@ -178,6 +178,49 @@ def test_cache_round_trip(capsys, tmp_path):
     assert len(cache.read_text().splitlines()) == 3
 
 
+def test_cache_duplicate_lines_count_once(capsys, tmp_path):
+    # concurrent appends can write the same line twice
+    cache = tmp_path / "ranks.jsonl"
+    argv = ("maxvar", "hypersurface", "--fermat", "3", "4", "--prime", P,
+            "--cache", str(cache))
+    code, first, _ = run_json(capsys, *argv)
+    assert code == 0
+    cache.write_text(cache.read_text() * 2)
+    code, second, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert second["timings_ms"]["cache_hits"] == 3
+    assert strip_timings(first) == strip_timings(second)
+
+
+def test_cache_lines_disagreeing_on_a_degree_exit_1(capsys, tmp_path):
+    cache = tmp_path / "ranks.jsonl"
+    cache.write_text(_cache_line("x0^4 + x1^4 + x2^4 + x3^4", 3, 1048573, 9, 200)
+                     + _cache_line("x0^4 + x1^4 + x2^4 + x3^4", 3, 1048573, 9, 220))
+    code, out, err = run(capsys, "hilbert", "--fermat", "3", "4", "--prime", P,
+                         "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert err.startswith("error: degree 9") and err.count("\n") == 1
+    assert "dims 20 and 0" in err
+
+
+def test_maxvar_eliminates_each_map_matrix_once(capsys, monkeypatch):
+    # at p=5 every trial of x h: R_3 -> R_4 on the Fermat quartic (16 -> 19)
+    # misses full rank; the kernel witness reuses the last map's echelon
+    from varcert import exactla, jacobian, lefschetz
+    shapes = []
+
+    def counting(mat, _rref=exactla.rref):
+        shapes.append((mat.nrows, mat.ncols))
+        return _rref(mat)
+
+    for module in (exactla, jacobian, lefschetz):
+        monkeypatch.setattr(module, "rref", counting)
+    code, _, _ = run(capsys, "maxvar", "hypersurface", "--fermat", "3", "4",
+                     "--prime", "5")
+    assert code == 2
+    assert shapes.count((19, 16)) == 3
+
+
 def test_cache_ignores_garbage_and_mismatched_lines(capsys, tmp_path):
     cache = tmp_path / "ranks.jsonl"
     argv = ("hilbert", "--fermat", "4", "3", "--prime", P, "--cache", str(cache))
@@ -207,6 +250,11 @@ def test_rank_oracle_agreement_and_bad_modulus(capsys, tmp_path):
     corrupt.write_text("2 2 10007\n0 5 3\n")
     code, _, err = run(capsys, "rank-oracle", str(corrupt))
     assert code == 1 and "bad matrix dump" in err
+
+    wide = tmp_path / "wide.txt"
+    wide.write_text(f"1 1 {(1 << 89) - 1}\n0 0 3\n")
+    code, _, err = run(capsys, "rank-oracle", str(wide))
+    assert code == 1 and "exceeds 62 bits" in err
 
 
 def test_argparse_errors_exit_1(capsys):

@@ -16,8 +16,8 @@ from varcert.exactla import (
     rank,
     rref,
     _rref_float_blocked,
-    _rref_sparse,
 )
+from rref_reference import rref_sparse as _rref_sparse
 from varcert.polyring import PrimeField, enumerate_monomials, parse_form, partial_derivatives
 
 PRIMES = [5, 10007, 1048573, 67108859, (1 << 31) - 1, (1 << 62) - 57]
