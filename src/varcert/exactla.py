@@ -3,10 +3,11 @@
 Two elimination backends sit behind rref(), chosen by modulus size:
 
   p <= 2^23        blocked float64 Gauss-Jordan; BLAS does the trailing
-                   updates.  Exact because every intermediate is a
-                   non-negative integer below 2^53 (products < (p-1)^2 < 2^46,
-                   GEMM inner dimension capped so accumulated sums stay
-                   below 2^53).
+                   updates.  Exact because every intermediate is an
+                   integer of magnitude below 2^53 (products < (p-1)^2 <
+                   2^46; GEMM inner dimension and panel width capped so
+                   accumulated sums and delayed reductions stay below
+                   2^53).
   2^23 < p < 2^63  Gauss-Jordan by row insertion on a uint64 block of pivot
                    rows, vectorized with numpy.  Products use Shoup's
                    precomputed-quotient multiplication: its remainder before
@@ -14,7 +15,8 @@ Two elimination backends sit behind rref(), chosen by modulus size:
                    exactly when p < 2^63.  Column sums are split at bit 31 so
                    they cannot wrap, and are reduced once.
 
-Both produce the same object: the reduced row echelon form, which is
+Both read rows only as numpy CSR arrays, through FieldMatrix.csr, and both
+produce the same object: the reduced row echelon form, which is
 unique, so pivot columns and quotient coordinates do not depend on the
 backend or on row order.  dense_rank_oracle() is a deliberately separate
 textbook elimination used only to cross-check ranks.
@@ -23,7 +25,7 @@ textbook elimination used only to cross-check ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,9 +33,10 @@ import numpy as np
 FLOAT_TIER_MAX = 1 << 23
 INT64_TIER_MAX = 1 << 31
 ORACLE_CELL_LIMIT = 10 ** 7
-ROWINSERT_BLOCK_BYTES = 1 << 30
+ENGINE_BYTES_LIMIT = 1 << 30  # largest array footprint either engine allocates
 _COMPACT_EVERY = 16
 _CHUNK = 8192  # elements per numpy temporary in the row-insertion engine
+_ROWS_PER_READ = 32  # rows per FieldMatrix.csr call when streaming rows
 _PANEL = 64
 
 
@@ -45,16 +48,79 @@ class MatrixFormatError(Exception):
     pass
 
 
+class RowArrays:
+    """Rows that are held, or built on demand, as numpy CSR arrays.
+    Subclasses define __len__ and csr(); iterating yields dict rows."""
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows lo..hi-1 as (indptr starting at 0, intp columns, int64
+        values in [0, p))."""
+        raise NotImplementedError
+
+    def __iter__(self):
+        for cols, vals in _row_arrays(self.csr, len(self)):
+            yield dict(zip(cols.tolist(), vals.tolist()))
+
+
+def _row_arrays(csr, nrows: int):
+    """(columns, values) of each row in order, read through csr(lo, hi) a
+    block of rows at a time, so rows built on demand are never all in
+    memory."""
+    for lo in range(0, nrows, _ROWS_PER_READ):
+        indptr, cols, vals = csr(lo, min(lo + _ROWS_PER_READ, nrows))
+        ip = indptr.tolist()
+        for s, e in zip(ip, ip[1:]):
+            yield cols[s:e], vals[s:e]
+
+
+class CsrRows(RowArrays):
+    """Rows stored whole as CSR arrays."""
+
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        self.indptr, self.cols, self.vals = indptr, cols, vals
+
+    @classmethod
+    def from_dicts(cls, rows: Iterable[dict[int, int]], p: int) -> CsrRows:
+        lens, cols, vals = [0], [], []
+        for r in rows:
+            lens.append(len(r))
+            cols.extend(r)
+            vals.extend(r.values())
+        return cls(np.cumsum(lens), np.array(cols, dtype=np.intp),
+                   np.array(vals, dtype=np.int64) % p)
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> CsrRows:
+        """The nonzeros of a 2-D int64 array with entries in [0, p)."""
+        i, j = np.nonzero(a)
+        indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(a, axis=1), out=indptr[1:])
+        return cls(indptr, j, a[i, j])
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ip = self.indptr[lo:hi + 1]
+        s, e = int(ip[0]), int(ip[-1])
+        return ip - s, self.cols[s:e], self.vals[s:e]
+
+
 @dataclass
 class FieldMatrix:
     """Sparse rows over Z/p: each row maps column index to a value in [1, p).
     rows may be any collection of nrows rows that can be iterated more than
-    once, such as one that builds them on the fly."""
+    once, such as one that builds them on the fly; a RowArrays also hands
+    the engines its rows as numpy arrays directly."""
 
     p: int
     nrows: int
     ncols: int
     rows: Iterable[dict[int, int]]
+    _arrays: Optional[RowArrays] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
@@ -77,6 +143,22 @@ class FieldMatrix:
         rows = [{j: v for j, v in enumerate(r)} for r in entries]
         return cls.from_rows(p, ncols, rows)
 
+    @classmethod
+    def from_array(cls, p: int, a: np.ndarray) -> FieldMatrix:
+        """The matrix of a 2-D int64 array with entries in [0, p)."""
+        return cls(p, a.shape[0], a.shape[1], CsrRows.from_dense(a))
+
+    def csr(self, lo: int = 0,
+            hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows lo..hi-1 (all by default) as numpy CSR arrays: indptr
+        starting at 0, intp column indices, int64 values in [0, p).  The
+        one way the engines read rows; dict rows are converted on the first
+        call and the arrays kept."""
+        if self._arrays is None:
+            self._arrays = (self.rows if isinstance(self.rows, RowArrays)
+                            else CsrRows.from_dicts(self.rows, self.p))
+        return self._arrays.csr(lo, self.nrows if hi is None else hi)
+
     def entry_count(self) -> int:
         return sum(len(r) for r in self.rows)
 
@@ -87,13 +169,11 @@ class FieldMatrix:
                 cols[j][i] = v
         return FieldMatrix(self.p, self.ncols, self.nrows, cols)
 
-    def to_dense_int64(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            if r:
-                idx = np.fromiter(r.keys(), dtype=np.int64, count=len(r))
-                val = np.fromiter(r.values(), dtype=np.int64, count=len(r))
-                out[i, idx] = val
+    def to_dense(self, dtype=np.int64) -> np.ndarray:
+        """The nrows x ncols array of entries in [0, p)."""
+        indptr, cols, vals = self.csr()
+        out = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        out[np.repeat(np.arange(self.nrows), np.diff(indptr)), cols] = vals
         return out
 
     def mul_vector(self, v: Sequence[int]) -> list[int]:
@@ -185,21 +265,29 @@ def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inv_modp_dense(b: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an invertible float64 matrix over Z/p by Gauss-Jordan."""
+    """Inverse of an invertible m x m float64 matrix over Z/p by Gauss-Jordan.
+
+    Reductions are delayed as in _panel_discovery: a step reduces only the
+    scanned column and the pivot row, and leaves its outer-product update
+    unreduced.  An entry then carries at most m-1 unreduced updates, each
+    below (p-1)^2, on top of a value below p, so every entry stays below
+    p + m(p-1)^2 in magnitude.  The caller keeps m <= panel_cap, which
+    bounds that by 2^53, so every float64 value is an exact integer; one
+    np.mod at the end gives the residues.  Columns left of the scanned one
+    are never read again and are not updated."""
     m = b.shape[0]
-    aug = np.concatenate([b % p, np.eye(m)], axis=1)
+    aug = np.concatenate([np.mod(b, p), np.eye(m)], axis=1)
     for j in range(m):
-        t = j + int(np.nonzero(aug[j:, j])[0][0])
+        colv = np.mod(aug[:, j], p)
+        t = j + int(np.flatnonzero(colv[j:])[0])
         if t != j:
             aug[[j, t]] = aug[[t, j]]
-        inv = pow(int(aug[j, j]), p - 2, p)
-        aug[j] = np.mod(aug[j] * inv, p)
-        col = aug[:, j].copy()
-        col[j] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            aug[nz] = np.mod(aug[nz] - np.outer(col[nz], aug[j]), p)
-    return aug[:, m:]
+            colv[[j, t]] = colv[[t, j]]
+        inv = pow(int(colv[j]), p - 2, p)
+        aug[j, j:] = np.mod(np.mod(aug[j, j:], p) * inv, p)
+        colv[j] = 0
+        aug[:, j:] -= colv[:, None] * aug[j, j:]
+    return np.mod(aug[:, m:], p)
 
 
 def _panel_discovery(panel: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -240,12 +328,20 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
     Relies on the identity-on-pivot-columns shape of the reduced echelon
     form: the current value of any unreduced row is orig - orig[pivcols] @ R,
     so panels are brought up to date with one GEMM and only the (rank x c)
-    array of reduced rows is ever updated in place."""
+    array of reduced rows is ever updated in place.
+
+    Refuses with SizeGuardExceeded, before allocating, a matrix whose dense
+    copy, reduced-row buffer and gathered pivot columns (r x c, rank x c
+    and r x rank float64 arrays) would exceed ENGINE_BYTES_LIMIT."""
     p = mat.p
     r, c = mat.nrows, mat.ncols
-    orig = mat.to_dense_int64().astype(np.float64)
-    orig %= p
     maxrank = min(r, c)
+    need = 8 * (r * c + maxrank * c + r * maxrank)
+    if need > ENGINE_BYTES_LIMIT:
+        raise SizeGuardExceeded(
+            f"float tier needs {need} bytes for {r}x{c}, over the "
+            f"{ENGINE_BYTES_LIMIT} limit")
+    orig = mat.to_dense(np.float64)
     rbuf = np.zeros((maxrank, c))
     pivots: list[int] = []
     npiv = 0
@@ -255,17 +351,17 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
     while col < c and live.size:
         hi = min(col + panel_cap, c)
         pc = np.array(pivots, dtype=np.intp)
-        panel = np.mod(orig[live][:, col:hi], p)
+        panel = orig[live, col:hi]
         if npiv:
-            panel = np.mod(panel - _matmul_modp(orig[live][:, pc], rbuf[:npiv, col:hi], p), p)
+            panel = np.mod(panel - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv, col:hi], p), p)
         lc, ids = _panel_discovery(panel, p)
         b = len(lc)
         if b:
             newrows = live[ids[:b]]
             newcols = [col + j for j in lc]
-            cur = np.mod(orig[newrows][:, col:], p)
+            cur = orig[newrows, col:]
             if npiv:
-                cur = np.mod(cur - _matmul_modp(orig[newrows][:, pc], rbuf[:npiv, col:], p), p)
+                cur = np.mod(cur - _matmul_modp(orig[np.ix_(newrows, pc)], rbuf[:npiv, col:], p), p)
             bpp = cur[:, [j - col for j in newcols]]
             u = _inv_modp_dense(bpp, p)
             newr = _matmul_modp(u, cur, p)
@@ -279,10 +375,10 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
         col = hi
     if live.size:
         # every undrafted row must reduce to zero against the final rows
-        residue = np.mod(orig[live], p)
+        residue = orig[live]
         if npiv:
             pc = np.array(pivots, dtype=np.intp)
-            residue = np.mod(residue - _matmul_modp(orig[live][:, pc], rbuf[:npiv], p), p)
+            residue = np.mod(residue - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv], p), p)
         if np.any(residue):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")
     return EchelonResult(p, c, tuple(pivots), dense=rbuf[:npiv])
@@ -378,10 +474,10 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
     those the block holds the identity, so one subtraction clears them."""
     p, c = mat.p, mat.ncols
     cells = _block_cells(mat.nrows, c)
-    if cells * 8 > ROWINSERT_BLOCK_BYTES:
+    if cells * 8 > ENGINE_BYTES_LIMIT:
         raise SizeGuardExceeded(
             f"row-insertion block needs {cells * 8} bytes for "
-            f"{mat.nrows}x{c}, over the {ROWINSERT_BLOCK_BYTES} limit")
+            f"{mat.nrows}x{c}, over the {ENGINE_BYTES_LIMIT} limit")
     zp = _Zp64(p)
     buf = np.empty(cells, dtype=np.uint64)
     frame = np.arange(c)                # block column -> matrix column
@@ -389,11 +485,10 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
     rowof = np.full(c, -1, dtype=np.intp)  # pivot column -> block row, or -1
     pivcols: list[int] = []
     r, w = 0, c
-    for src in mat.rows:
-        if not src:
+    for cols, vals in _row_arrays(mat.csr, mat.nrows):
+        if not cols.size:
             continue
-        cols = np.fromiter(src.keys(), dtype=np.intp, count=len(src))
-        vals = np.fromiter((v % p for v in src.values()), dtype=np.uint64, count=len(src))
+        vals = vals.view(np.uint64)
         x = np.zeros(w, dtype=np.uint64)
         at = pos[cols]
         inframe = at >= 0
@@ -526,7 +621,7 @@ def dense_rank_oracle(mat: FieldMatrix) -> int:
     if mat.nrows == 0 or mat.ncols == 0:
         return 0
     if p < INT64_TIER_MAX:
-        w = mat.to_dense_int64() % p
+        w = mat.to_dense()
         r, c = w.shape
         # when accumulated updates cannot overflow int64, defer all mods and
         # reduce only the scanned column and the pivot row

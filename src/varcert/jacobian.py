@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 
-from .exactla import EchelonResult, FieldMatrix, SizeGuardExceeded, rref
+import numpy as np
+
+from .exactla import EchelonResult, FieldMatrix, RowArrays, SizeGuardExceeded, rref
 from .polyring import (
     HomogeneousForm,
     Monomial,
     PrimeField,
     enumerate_monomials,
     monomial_count,
-    monomial_index,
+    monomial_keys,
     partial_derivatives,
 )
 
@@ -63,27 +65,39 @@ def ci_hilbert_coefficients(n: int, d: int) -> list[int]:
     return out
 
 
-class _IdealRows:
-    """The rows m * dF/dx_i of a degree-p ideal matrix, m running over the
-    monomials of degree mult_deg, as sparse dicts in the degree-p monomial
-    basis.  Re-iterable: every pass builds the dicts afresh."""
+class _IdealRows(RowArrays):
+    """The rows m * dF/dx_i of a degree-p ideal matrix in the degree-p
+    monomial basis, m running over the monomials of degree mult_deg and i
+    over the partials.  Row (m, i) holds the coefficients of dF/dx_i at the
+    columns of m times its monomials, so only the partials' terms are
+    stored: with additive monomial keys, one broadcast add and one lookup
+    give the columns of a whole run of multipliers.  Rows are built on each
+    request and are never all in memory."""
 
     def __init__(self, n: int, p: int, mult_deg: int, partials):
-        self.n, self.p, self.mult_deg, self.partials = n, p, mult_deg, partials
+        self._keys = monomial_keys(n, p)
+        self._mult = (self._keys.of(enumerate_monomials(n, mult_deg)) if mult_deg >= 0
+                      else np.zeros(0, dtype=np.int64))
+        self._nparts = len(partials)
+        self._term_keys = self._keys.of([m for f in partials for m in f.terms])
+        self._term_vals = np.array([c for f in partials for c in f.terms.values()],
+                                   dtype=np.int64)
+        # offset of each partial's terms in the two arrays above
+        self._starts = np.cumsum([0] + [len(f.terms) for f in partials])
 
     def __len__(self) -> int:
-        if self.mult_deg < 0:
-            return 0
-        return monomial_count(self.n, self.mult_deg) * len(self.partials)
+        return self._mult.size * self._nparts
 
-    def __iter__(self):
-        if self.mult_deg < 0:
-            return
-        idx = monomial_index(self.n, self.p)
-        for m in enumerate_monomials(self.n, self.mult_deg):
-            for fi in self.partials:
-                yield {idx[tuple(a + b for a, b in zip(m, mm))]: c
-                       for mm, c in fi.terms.items()}
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k, t = self._nparts, self._term_keys.size
+        a, b = lo // k, -(-hi // k)  # the multipliers rows lo..hi-1 come from
+        cols = self._keys.columns((self._mult[a:b, None] + self._term_keys).ravel())
+        vals = np.tile(self._term_vals, b - a)
+        indptr = np.append((np.arange(b - a)[:, None] * t + self._starts[:-1]).ravel(),
+                           (b - a) * t)
+        ip = indptr[lo - a * k:hi - a * k + 1]
+        s, e = int(ip[0]), int(ip[-1])
+        return ip - s, cols[s:e], vals[s:e]
 
 
 class JacobianRing:

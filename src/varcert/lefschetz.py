@@ -19,7 +19,7 @@ import numpy as np
 
 from .exactla import EchelonResult, FieldMatrix, kernel_witness, rref
 from .jacobian import JacobianRing
-from .polyring import HomogeneousForm, enumerate_monomials, monomial_index, multiply, random_form
+from .polyring import HomogeneousForm, monomial_keys, multiply, random_form
 
 CERTIFIED_MAX_RANK = "CertifiedMaxRank"
 PROBABLY_DEFICIENT = "ProbablyDeficient"
@@ -79,11 +79,12 @@ class GradedMap:
         g = HomogeneousForm.from_terms(self.ring.n, self.source_degree, terms,
                                        self.ring.field)
         prod = multiply(self.h, g)
-        idx = monomial_index(self.ring.n, self.target_degree)
-        dense = [0] * len(idx)
-        for m, c in prod.terms.items():
-            dense[idx[m]] = c
-        if any(self.ring.echelon(self.target_degree).reduce_vector(dense)):
+        target = self.ring.echelon(self.target_degree)
+        keys = monomial_keys(self.ring.n, self.target_degree)
+        dense = [0] * target.ncols
+        for j, c in zip(keys.columns(keys.of(list(prod.terms))).tolist(), prod.terms.values()):
+            dense[j] = c
+        if any(target.reduce_vector(dense)):
             raise AssertionError("kernel form fails h*G = 0 re-verification")
         return g
 
@@ -98,16 +99,13 @@ def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
         raise DegreeMismatch("multiplier lives in a different ring")
     source_basis = ring.quotient_basis(a)
     target_ech = ring.echelon(p)
-    free = target_ech.free_columns()
-    idx = monomial_index(ring.n, p)
-    block = np.zeros((len(source_basis), len(idx)), dtype=np.int64)
-    for i, m in enumerate(source_basis):
-        for mm, c in h.terms.items():
-            block[i, idx[tuple(x + y for x, y in zip(m, mm))]] += c
-    block %= ring.field.p
+    keys = monomial_keys(ring.n, p)
+    cols = keys.columns(keys.of(source_basis)[:, None] + keys.of(list(h.terms)))
+    block = np.zeros((len(source_basis), target_ech.ncols), dtype=np.int64)
+    # distinct terms of h land in distinct columns of each row
+    block[np.arange(len(source_basis))[:, None], cols] = list(h.terms.values())
     reduced = target_ech.reduce_block(block) if len(source_basis) else block
-    cols = reduced[:, list(free)] if len(free) else np.zeros((len(source_basis), 0), dtype=np.int64)
-    mat = FieldMatrix.from_dense(ring.field.p, cols.T.tolist(), ncols=len(source_basis))
+    mat = FieldMatrix.from_array(ring.field.p, reduced[:, list(target_ech.free_columns())].T)
     return GradedMap(ring, h, a, p, mat, rref(mat))
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 MAX_VARIABLES = 9  # n <= 8
 MAX_MODULUS_BITS = 62
@@ -116,9 +118,35 @@ def _gen_monomials(n: int, p: int) -> Iterator[Monomial]:
             yield (e0,) + rest
 
 
+class MonomialKeys:
+    """Additive integer keys for monomials of degree at most p, and the
+    column of each degree-p key in enumerate_monomials(n, p).
+
+    A key is the mixed-radix number whose digits are the exponents, base
+    p+1, x0 most significant.  No exponent exceeds p, so digits never carry:
+    key(a*b) = key(a) + key(b) whenever deg a + deg b <= p.  On one degree
+    the key order is the lex order, so the degree-p keys descend along the
+    basis and a sorted search finds columns."""
+
+    def __init__(self, n: int, p: int):
+        base = p + 1
+        if base ** (n + 1) >= 1 << 63:
+            raise ValueError(f"degree-{p} keys in {n + 1} variables overflow int64")
+        self.weights = base ** np.arange(n, -1, -1, dtype=np.int64)
+        self._ascending = self.of(enumerate_monomials(n, p))[::-1]
+
+    def of(self, mons: Sequence[Monomial]) -> np.ndarray:
+        """Keys of a sequence of exponent tuples, as int64."""
+        return np.array(mons, dtype=np.int64).reshape(-1, self.weights.size) @ self.weights
+
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """Basis positions of degree-p keys."""
+        return self._ascending.size - 1 - np.searchsorted(self._ascending, keys)
+
+
 @lru_cache(maxsize=None)
-def monomial_index(n: int, p: int) -> dict[Monomial, int]:
-    return {m: i for i, m in enumerate(enumerate_monomials(n, p))}
+def monomial_keys(n: int, p: int) -> MonomialKeys:
+    return MonomialKeys(n, p)
 
 
 def monomial_count(n: int, p: int) -> int:

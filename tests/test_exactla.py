@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from varcert.exactla import (
+    FLOAT_TIER_MAX,
     FieldMatrix,
     MatrixFormatError,
     SizeGuardExceeded,
@@ -15,10 +17,18 @@ from varcert.exactla import (
     load_matrix,
     rank,
     rref,
+    _inv_modp_dense,
     _rref_float_blocked,
 )
 from rref_reference import rref_sparse as _rref_sparse
-from varcert.polyring import PrimeField, enumerate_monomials, parse_form, partial_derivatives
+from varcert.jacobian import JacobianRing
+from varcert.polyring import (
+    HomogeneousForm,
+    PrimeField,
+    enumerate_monomials,
+    parse_form,
+    partial_derivatives,
+)
 
 PRIMES = [5, 10007, 1048573, 67108859, (1 << 31) - 1, (1 << 62) - 57]
 
@@ -163,6 +173,64 @@ def test_oracle_size_guard():
     m = FieldMatrix(10007, 4000, 3000, [dict() for _ in range(4000)])
     with pytest.raises(SizeGuardExceeded):
         dense_rank_oracle(m)
+
+
+# the last prime of the float tier: its panels are the full 64 columns
+# wide, so delayed updates reach p + 63 (p-1)^2, about 2^52
+P23 = 8388593
+
+
+def assert_inverse_mod_p(b, p):
+    u = _inv_modp_dense(b.astype(np.float64), p)
+    assert u.min() >= 0 and u.max() < p and np.all(u == np.floor(u))
+    ui = [[int(x) for x in row] for row in u]
+    bi = [[int(x) for x in row] for row in b]
+    m = len(bi)
+    for i in range(m):
+        for j in range(m):
+            assert sum(ui[i][k] * bi[k][j] for k in range(m)) % p == (i == j)
+
+
+def test_delayed_inverse_is_exact_at_last_float_prime():
+    assert P23 <= FLOAT_TIER_MAX < P23 + 24
+    rng = np.random.default_rng(23)
+    blocks = [rng.integers(0, P23, (64, 64)) for _ in range(3)]
+    # entries near p-1 push the unreduced updates towards the bound
+    blocks += [P23 - 1 - rng.integers(0, 4, (64, 64)) for _ in range(3)]
+    # a zero diagonal forces row swaps
+    blocks.append(np.roll(np.eye(64, dtype=np.int64), 1, axis=0) * (P23 - 1)
+                  + np.tril(rng.integers(0, P23, (64, 64)), -2))
+    for b in blocks:
+        assert_inverse_mod_p(b, P23)
+
+
+def test_float_tier_matches_sparse_reference_on_wide_macaulay_matrix():
+    rng = random.Random(35)
+    coeffs = {m: rng.randint(-9, 9) for m in enumerate_monomials(3, 5)}
+    ring = JacobianRing(HomogeneousForm.from_terms(
+        3, 5, {m: c for m, c in coeffs.items() if c}, PrimeField(P23)))
+    for degree in (ring.socle, ring.socle + 1):
+        mat = ring.ideal_matrix(degree)
+        assert mat.ncols > 64
+        got, ref = rref(mat), _rref_sparse(mat)
+        assert got.pivots == ref.pivots
+        for k in range(ref.rank):
+            assert got.row_as_dict(k) == ref.row_as_dict(k)
+
+
+def test_float_tier_size_guard_refuses_before_allocating(monkeypatch):
+    n = 12000
+    mat = FieldMatrix(10007, n, n, [{i: 1} for i in range(n)])
+    # without the guard the tier would go on to fill over 2 GB of arrays
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("array allocated"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardExceeded):
+            rref(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dump_load_roundtrip(tmp_path):

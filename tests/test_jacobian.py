@@ -123,6 +123,49 @@ def test_ideal_matrix_shape():
     assert ring.graded_dim(3) == monomial_count(3, 3)
 
 
+def old_ideal_rows(ring, p):
+    """The ideal matrix rows as the dict comprehension over monomial tuples
+    builds them: m * dF/dx_i for m of degree p-d+1, partials innermost."""
+    if p < ring.degree - 1:
+        return []
+    idx = {m: i for i, m in enumerate(enumerate_monomials(ring.n, p))}
+    return [{idx[tuple(a + b for a, b in zip(m, mm))]: c for mm, c in fi.terms.items()}
+            for m in enumerate_monomials(ring.n, p - ring.degree + 1)
+            for fi in ring.partials]
+
+
+@pytest.mark.parametrize("n,d,text", [
+    (4, 4, None),
+    (8, 3, "x0^3 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3 + x6^3 + x7^3 + x8^3"
+           " + 5*x0*x4*x8 - 2*x1^2*x7"),
+    (3, 4, "x1^4 + x2^4 + x3^4"),  # dF/dx0 = 0: every fourth row is empty
+], ids=["n4d4", "n8d3", "zero-partial"])
+def test_vectorized_ideal_rows_match_dict_construction(n, d, text):
+    if text is None:
+        rng = random.Random(44)
+        terms = {m: rng.randint(-9, 9) for m in enumerate_monomials(n, d)}
+        form = HomogeneousForm.from_terms(n, d, {m: c for m, c in terms.items() if c}, F)
+    else:
+        form = parse_form(text, n, F)
+    ring = JacobianRing(form)
+    for p in range(ring.socle + 2):  # p < d-1 has no rows
+        mat = ring.ideal_matrix(p)
+        old = old_ideal_rows(ring, p)
+        assert mat.nrows == len(old)
+        indptr, cols, vals = mat.csr()
+        got = [dict(zip(cols[s:e].tolist(), vals[s:e].tolist()))
+               for s, e in zip(indptr.tolist(), indptr[1:].tolist())]
+        assert got == old
+        assert list(mat.rows) == old
+        # any row range, including ones that split a multiplier's rows
+        lo, hi = len(old) // 3 + 1, 2 * len(old) // 3 + 2
+        if hi <= len(old):
+            ip, c, v = mat.csr(lo, hi)
+            assert ip[0] == 0 and ip.size == hi - lo + 1
+            assert c.tolist() == [j for r in old[lo:hi] for j in r]
+            assert v.tolist() == [x for r in old[lo:hi] for x in r.values()]
+
+
 def test_ideal_matrix_column_guard():
     ring = fermat_ring(8, 3, PrimeField(1048573))
     with pytest.raises(SizeGuardExceeded):
