@@ -159,9 +159,6 @@ class FieldMatrix:
                             else CsrRows.from_dicts(self.rows, self.p))
         return self._arrays.csr(lo, self.nrows if hi is None else hi)
 
-    def entry_count(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def transpose(self) -> FieldMatrix:
         cols: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):
@@ -186,18 +183,25 @@ class EchelonResult:
 
     The pivot columns of a reduced echelon form hold the identity, so of
     dense rows only the (rank x free columns) block is kept; sparse rows are
-    kept as dicts, unit pivot included."""
+    kept as dicts, unit pivot included.  A block is only multiplied in
+    reduce_block, which is exact for p <= FLOAT_TIER_MAX; above that a
+    block must have no free columns."""
 
     def __init__(self, p: int, ncols: int, pivots: tuple[int, ...],
-                 dense: Optional[np.ndarray] = None,
+                 block: Optional[np.ndarray] = None,
                  sparse: Optional[list[dict[int, int]]] = None):
         self.p = p
         self.ncols = ncols
         self.pivots = pivots
         pivset = set(pivots)
         self._free = tuple(j for j in range(ncols) if j not in pivset)
-        self._block = None if dense is None else dense[:, list(self._free)]
+        self._block = block
         self._sparse = sparse
+
+    @classmethod
+    def identity(cls, p: int, ncols: int) -> EchelonResult:
+        """The echelon of every matrix of rank ncols, which is unique."""
+        return cls(p, ncols, tuple(range(ncols)), block=np.zeros((ncols, 0), dtype=np.int64))
 
     @property
     def rank(self) -> int:
@@ -212,6 +216,20 @@ class EchelonResult:
         r = self._block[k]
         out = {self.pivots[k]: 1}
         out.update((self._free[j], int(r[j])) for j in np.nonzero(r)[0])
+        return out
+
+    def free_block(self) -> np.ndarray:
+        """The rows' entries at the free columns, as a rank x free-columns
+        int64 array."""
+        if self._block is not None:
+            return self._block.astype(np.int64)
+        rows = CsrRows.from_dicts(self._sparse, self.p)
+        at = np.full(self.ncols, -1, dtype=np.intp)
+        at[list(self._free)] = np.arange(len(self._free))
+        keep = at[rows.cols] >= 0
+        out = np.zeros((self.rank, len(self._free)), dtype=np.int64)
+        out[np.repeat(np.arange(self.rank), np.diff(rows.indptr))[keep],
+            at[rows.cols[keep]]] = rows.vals[keep]
         return out
 
     def reduce_vector(self, vec: Sequence[int]) -> list[int]:
@@ -381,7 +399,7 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
             residue = np.mod(residue - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv], p), p)
         if np.any(residue):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")
-    return EchelonResult(p, c, tuple(pivots), dense=rbuf[:npiv])
+    return EchelonResult(p, c, tuple(pivots), block=np.delete(rbuf[:npiv], pivots, axis=1))
 
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -471,7 +489,9 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
     outer products in _Zp64 arithmetic.  The pivot rows live in one uint64
     block preallocated at its largest size, whose columns are the free
     columns plus the pivot columns found since the last compaction; on
-    those the block holds the identity, so one subtraction clears them."""
+    those the block holds the identity, so one subtraction clears them.
+    Rows stop being read once the rank reaches ncols: the echelon is then
+    the identity, and every later row lies in its span."""
     p, c = mat.p, mat.ncols
     cells = _block_cells(mat.nrows, c)
     if cells * 8 > ENGINE_BYTES_LIMIT:
@@ -511,6 +531,8 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
         rowof[lead] = r
         pivcols.append(lead)
         r += 1
+        if r == c:
+            break
         if r % _COMPACT_EVERY == 0:
             frame, w = _compact(buf, r, w, frame, rowof)
             pos[:] = -1

@@ -6,6 +6,13 @@ monomial basis of degree p.  Ranks over Z/p certify dimensions; a vanishing
 piece one past the socle degree (n+1)(d-2) certifies that the partials are
 a regular sequence, hence that the form is smooth and R is the complete
 intersection quotient with the standard Hilbert series.
+
+That vanishing is read off the socle echelon where it can be: in every
+degree above d-1 the ideal is S_1 times its piece one degree lower, so
+R_{socle+1} is (n+1) copies of R_socle modulo the relations x_k m = x_j m',
+and a relation matrix (n+1) dim R_socle columns wide, n+1 for a smooth
+form, has full rank exactly when R_{socle+1} = 0.  Otherwise the socle+1
+ideal matrix is eliminated as for any other degree.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 
 import numpy as np
 
-from .exactla import EchelonResult, FieldMatrix, RowArrays, SizeGuardExceeded, rref
+from .exactla import CsrRows, EchelonResult, FieldMatrix, RowArrays, SizeGuardExceeded, rref
 from .polyring import (
     HomogeneousForm,
     Monomial,
@@ -134,9 +141,13 @@ class JacobianRing:
 
     def echelon(self, p: int) -> EchelonResult:
         """Reduced echelon form of the degree-p ideal matrix, computed once
-        and kept; raises DimConflict when it contradicts an installed dim."""
+        and kept; raises DimConflict when it contradicts an installed dim.
+        Degree socle+1 needs no ideal matrix when the socle's relation
+        matrix proves it vanishes."""
         if p not in self._ech:
-            e = rref(self.ideal_matrix(p))
+            e = self._vanishing_past_socle() if p == self.socle + 1 else None
+            if e is None:
+                e = rref(self.ideal_matrix(p))
             dim = e.ncols - e.rank
             if self._installed.get(p, dim) != dim:
                 raise DimConflict(
@@ -144,6 +155,63 @@ class JacobianRing:
                     f"elimination gives {dim}")
             self._ech[p] = e
         return self._ech[p]
+
+    def relation_matrix(self, q: int) -> FieldMatrix:
+        """The relations that give R_{q+1} from R_q, for q >= d-1.
+
+        The ideal is generated in degree d-1, so I_{q+1} = S_1 I_q and
+        R_{q+1} = (S_1 (x) R_q) / K, with K spanned by x_k (x) [m] -
+        x_j (x) [m'] over the pairs x_k m = x_j m' of degree-q monomials.
+        Written in the basis of R_q that echelon(q) gives, column k*f + i
+        for x_k (x) basis vector i (f = dim R_q), one row per consecutive
+        pair of representations of a degree-(q+1) monomial, these span K, so
+        dim R_{q+1} = (n+1) f - rank."""
+        if q < self.degree - 1:
+            raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
+        n, prime = self.n, self.field.p
+        e = self.echelon(q)
+        f = e.ncols - e.rank
+        # normal form of each degree-q monomial in the basis of R_q: a unit
+        # vector at a free column, minus the row's free entries at a pivot
+        nf = np.zeros((e.ncols, f), dtype=np.int64)
+        nf[list(e.free_columns()), np.arange(f)] = 1
+        nf[list(e.pivots)] = -e.free_block() % prime
+        # x_k * m for every variable k and degree-q monomial m, at position
+        # t = k * e.ncols + m; a stable sort by product puts the
+        # representations of one degree-(q+1) monomial next to each other,
+        # k ascending
+        keys = monomial_keys(n, q + 1)
+        prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
+        order = np.argsort(prods, kind="stable")
+        pair = prods[order[1:]] == prods[order[:-1]]
+        a, b = order[:-1][pair], order[1:][pair]
+        span = np.arange(f)
+        cols = np.concatenate([(a // e.ncols)[:, None] * f + span,
+                               (b // e.ncols)[:, None] * f + span], axis=1)
+        vals = np.concatenate([nf[a % e.ncols], -nf[b % e.ncols] % prime], axis=1)
+        nonzero = vals != 0
+        indptr = np.zeros(a.size + 1, dtype=np.int64)
+        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+        return FieldMatrix(prime, a.size, (n + 1) * f,
+                           CsrRows(indptr, cols[nonzero], vals[nonzero]))
+
+    def _vanishing_past_socle(self) -> EchelonResult | None:
+        """The degree-(socle+1) echelon, the identity, when the socle's
+        relation matrix has full rank, which proves R_{socle+1} = 0; None
+        when it has not, or when the relations are no smaller than the
+        ideal matrix.  A smooth form has dim R_socle = 1, so its relation
+        matrix has n+1 columns against C(n+socle+1, n)."""
+        q = self.socle
+        ncols = monomial_count(self.n, q + 1)
+        if q < self.degree - 1:
+            return None
+        e = self.echelon(q)
+        if (self.n + 1) * (e.ncols - e.rank) >= ncols:
+            return None
+        rel = self.relation_matrix(q)
+        if rref(rel).rank < rel.ncols:
+            return None
+        return EchelonResult.identity(self.field.p, ncols)
 
     def graded_dim(self, p: int) -> int:
         """dim R_p: an installed dim if there is one, otherwise read off

@@ -168,14 +168,15 @@ def test_cache_round_trip(capsys, tmp_path):
     assert code == 0
     assert first["timings_ms"]["cache_hits"] == 0
     entries = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert {e["degree"] for e in entries} == {3, 4, 9}
+    # degree 8 is the socle, whose echelon the smoothness certificate uses
+    assert {e["degree"] for e in entries} == {3, 4, 8, 9}
 
     code, second, _ = run_json(capsys, *argv)
     assert code == 0
-    assert second["timings_ms"]["cache_hits"] == 3
+    assert second["timings_ms"]["cache_hits"] == 4
     assert strip_timings(first) == strip_timings(second)
     # a second run must not duplicate entries
-    assert len(cache.read_text().splitlines()) == 3
+    assert len(cache.read_text().splitlines()) == 4
 
 
 def test_cache_duplicate_lines_count_once(capsys, tmp_path):
@@ -188,7 +189,7 @@ def test_cache_duplicate_lines_count_once(capsys, tmp_path):
     cache.write_text(cache.read_text() * 2)
     code, second, _ = run_json(capsys, *argv)
     assert code == 0
-    assert second["timings_ms"]["cache_hits"] == 3
+    assert second["timings_ms"]["cache_hits"] == 4
     assert strip_timings(first) == strip_timings(second)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from varcert.exactla import SizeGuardExceeded
+from varcert.exactla import SizeGuardExceeded, rref
 from varcert.jacobian import (
     CharacteristicError,
     JacobianRing,
@@ -229,3 +229,80 @@ def test_each_degree_is_eliminated_once(monkeypatch):
     for p in range(ring.socle + 2):
         ring.quotient_basis(p)
     assert len(calls) == ring.socle + 2
+
+
+ROUTE_PRIMES = [1048573, 8388617, (1 << 31) - 1, (1 << 62) - 57]
+# (label, n, d, form text or None for a seeded random form, smooth)
+ROUTE_CASES = [
+    ("n3d4", 3, 4, None, True),
+    ("n4d3", 4, 3, None, True),
+    ("n2d6", 2, 6, None, True),
+    ("n3d5", 3, 5, None, True),
+    ("singular-quartic", 3, 4, "x0^2*x1^2 + x1^4 + x2^4 + x3^4", False),
+    ("cone", 3, 4, "x1^4 + x2^4 + x3^4", False),
+    ("quadric", 2, 2, "x0^2 + x1^2 + x2^2 + 3*x0*x1", True),  # socle 0 < d-1
+]
+
+
+def route_ring(n, d, text, prime):
+    field = PrimeField(prime)
+    if text is not None:
+        return JacobianRing(parse_form(text, n, field))
+    rng = random.Random(100 * n + d)
+    terms = {m: rng.randint(-9, 9) for m in enumerate_monomials(n, d)}
+    return JacobianRing(HomogeneousForm.from_terms(
+        n, d, {m: c for m, c in terms.items() if c}, field))
+
+
+@pytest.mark.parametrize("prime", ROUTE_PRIMES)
+@pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, smooth, prime):
+    ring = route_ring(n, d, text, prime)
+    built = []
+    ideal_matrix = ring.ideal_matrix
+
+    def recording(p):
+        built.append(p)
+        return ideal_matrix(p)
+
+    ring.ideal_matrix = recording
+    top = ring.socle + 1
+    got = ring.echelon(top)
+    ref = rref(ideal_matrix(top))
+    assert got.pivots == ref.pivots
+    assert got.free_columns() == ref.free_columns()
+    for k in range(ref.rank):
+        assert got.row_as_dict(k) == ref.row_as_dict(k)
+    assert (ref.rank == ref.ncols) == smooth
+    # the relation rank stands in for the ideal matrix exactly when it
+    # proves R_{socle+1} = 0 from a socle at or above degree d-1
+    relation_route = smooth and ring.socle >= d - 1
+    assert (top in built) == (not relation_route)
+
+
+@pytest.mark.parametrize("prime", ROUTE_PRIMES)
+@pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_relation_rank_gives_the_next_graded_dim(label, n, d, text, smooth, prime):
+    # dim R_{q+1} = (n+1) dim R_q - rank(Rel) for every q >= d-1, singular
+    # forms included; checked up to the socle and one degree past it
+    ring = route_ring(n, d, text, prime)
+    for q in range(d - 1, ring.socle + 2):
+        rel = ring.relation_matrix(q)
+        assert rel.ncols == (n + 1) * ring.graded_dim(q)
+        assert rel.ncols - rref(rel).rank == ring.graded_dim(q + 1), q
+    with pytest.raises(ValueError):
+        ring.relation_matrix(d - 2)
+
+
+def test_smoothness_certificate_skips_the_socle_successor_ideal_matrix(monkeypatch):
+    built = []
+    real = JacobianRing.ideal_matrix
+
+    def recording(self, p):
+        built.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(JacobianRing, "ideal_matrix", recording)
+    ring = route_ring(3, 4, None, F.p)
+    assert ring.certify_smooth()
+    assert built == [ring.socle]

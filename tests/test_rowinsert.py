@@ -1,6 +1,7 @@
 """The uint64 row-insertion engine for primes above 2^23: its Shoup
 arithmetic, exactness at the tier-boundary primes against the sparse
-reference, its pre-flight size guard and its memory budget."""
+reference, its stop at full column rank, its pre-flight size guard and its
+memory budget."""
 
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from rref_reference import rref_sparse
 from varcert.exactla import (
     FLOAT_TIER_MAX,
+    CsrRows,
     FieldMatrix,
     SizeGuardExceeded,
     _Zp64,
@@ -100,6 +102,44 @@ def test_macaulay_matrices_match_sparse_reference():
         e = assert_same_echelon(mat)
         assert dense_rank_oracle(mat) == e.rank
         assert mat.ncols - e.rank == (1 if degree == ring.socle else 0)
+
+
+class RecordingRows(CsrRows):
+    """CsrRows that log every (lo, hi) the engine asks for."""
+
+    def __init__(self, rows, p):
+        full = CsrRows.from_dicts(rows, p)
+        super().__init__(full.indptr, full.cols, full.vals)
+        self.asked = []
+
+    def csr(self, lo, hi):
+        self.asked.append((lo, hi))
+        return super().csr(lo, hi)
+
+
+def test_rows_after_full_column_rank_are_not_read():
+    rng = random.Random(40)
+    c = 40
+    # upper triangular with a nonzero diagonal, so the first c rows are
+    # independent; the rest are combinations of them and random rows
+    head = [{j: rng.randrange(1, P62) for j in range(i, c) if j == i or rng.random() < 0.3}
+            for i in range(c)]
+    tail = []
+    for _ in range(2000):
+        row = {j: rng.randrange(P62) for j in range(c) if rng.random() < 0.2}
+        for src in rng.sample(head, 2):
+            f = rng.randrange(1, P62)
+            for j, v in src.items():
+                row[j] = (row.get(j, 0) + f * v) % P62
+        tail.append({j: v for j, v in row.items() if v})
+    rows = head + tail
+    recorded = RecordingRows(rows, P62)
+    e = rref(FieldMatrix(P62, len(rows), c, recorded))
+    ref = rref_sparse(FieldMatrix.from_rows(P62, c, rows))
+    assert e.pivots == ref.pivots == tuple(range(c))
+    for k in range(c):
+        assert e.row_as_dict(k) == ref.row_as_dict(k) == {k: 1}
+    assert recorded.asked and all(lo < c for lo, _ in recorded.asked)
 
 
 def test_block_size_guard_refuses_before_allocating(monkeypatch):
