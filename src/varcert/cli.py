@@ -185,10 +185,13 @@ def _config(args) -> dict:
     return {"prime": args.prime, "seed": args.seed, "trials": args.trials}
 
 
-def _timings(t0: float, cache: Optional[RankCache]) -> dict:
+def _timings(t0: float, cache: Optional[RankCache],
+             ring: Optional[JacobianRing] = None) -> dict:
     out = {"total": round((time.perf_counter() - t0) * 1000, 3)}
     if cache is not None:
         out["cache_hits"] = cache.hits
+    if ring is not None:
+        out["stages"] = ring.stages()
     return out
 
 
@@ -221,7 +224,7 @@ class FormRun:
             self.cache.store(self.ring, self.fingerprint)
         report = {"command": self.args.command, "input": self.input,
                   "config": _config(self.args), **fields,
-                  "timings_ms": _timings(self.t0, self.cache)}
+                  "timings_ms": _timings(self.t0, self.cache, self.ring)}
         emit(report, self.args.fmt, text_lines)
         return code
 

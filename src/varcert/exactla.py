@@ -13,13 +13,17 @@ Two elimination backends sit behind rref(), chosen by modulus size:
                    precomputed-quotient multiplication: its remainder before
                    the one correction lies in [0, 2p), which fits in 64 bits
                    exactly when p < 2^63.  Column sums are split at bit 31 so
-                   they cannot wrap, and are reduced once.
+                   they cannot wrap, and are reduced once.  Rows stop being
+                   read once the rank reaches the matrix's rank bound (its
+                   column count unless the caller proved a smaller one).
 
 Both read rows only as numpy CSR arrays, through FieldMatrix.csr, and both
-produce the same object: the reduced row echelon form, which is
-unique, so pivot columns and quotient coordinates do not depend on the
-backend or on row order.  dense_rank_oracle() is a deliberately separate
-textbook elimination used only to cross-check ranks.
+produce the same object: the reduced row echelon form, which is unique, so
+pivot columns and quotient coordinates do not depend on the backend or on
+row order.  It is kept as one rank x free-columns int64 block, and blocks
+are multiplied by one exact product per tier (matmul_modp).
+dense_rank_oracle() is a deliberately separate textbook elimination used
+only to cross-check ranks.
 """
 
 from __future__ import annotations
@@ -114,12 +118,18 @@ class FieldMatrix:
     """Sparse rows over Z/p: each row maps column index to a value in [1, p).
     rows may be any collection of nrows rows that can be iterated more than
     once, such as one that builds them on the fly; a RowArrays also hands
-    the engines its rows as numpy arrays directly."""
+    the engines its rows as numpy arrays directly.
+
+    rank_bound, when given, must be a proven upper bound on the rank: an
+    engine may stop reading rows once it reaches it.  rows_read counts the
+    leading rows handed out through csr()."""
 
     p: int
     nrows: int
     ncols: int
     rows: Iterable[dict[int, int]]
+    rank_bound: Optional[int] = None
+    rows_read: int = field(default=0, init=False, compare=False)
     _arrays: Optional[RowArrays] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -157,7 +167,9 @@ class FieldMatrix:
         if self._arrays is None:
             self._arrays = (self.rows if isinstance(self.rows, RowArrays)
                             else CsrRows.from_dicts(self.rows, self.p))
-        return self._arrays.csr(lo, self.nrows if hi is None else hi)
+        hi = self.nrows if hi is None else hi
+        self.rows_read = max(self.rows_read, hi)
+        return self._arrays.csr(lo, hi)
 
     def transpose(self) -> FieldMatrix:
         cols: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
@@ -181,27 +193,17 @@ class FieldMatrix:
 class EchelonResult:
     """Reduced row echelon form: pivot columns plus the normalized rows.
 
-    The pivot columns of a reduced echelon form hold the identity, so of
-    dense rows only the (rank x free columns) block is kept; sparse rows are
-    kept as dicts, unit pivot included.  A block is only multiplied in
-    reduce_block, which is exact for p <= FLOAT_TIER_MAX; above that a
-    block must have no free columns."""
+    The pivot columns of a reduced echelon form hold the identity, so only
+    the rows' entries at the free columns are kept, as a rank x free-columns
+    int64 block with entries in [0, p), rows in pivot order."""
 
-    def __init__(self, p: int, ncols: int, pivots: tuple[int, ...],
-                 block: Optional[np.ndarray] = None,
-                 sparse: Optional[list[dict[int, int]]] = None):
+    def __init__(self, p: int, ncols: int, pivots: tuple[int, ...], block: np.ndarray):
         self.p = p
         self.ncols = ncols
         self.pivots = pivots
         pivset = set(pivots)
         self._free = tuple(j for j in range(ncols) if j not in pivset)
         self._block = block
-        self._sparse = sparse
-
-    @classmethod
-    def identity(cls, p: int, ncols: int) -> EchelonResult:
-        """The echelon of every matrix of rank ncols, which is unique."""
-        return cls(p, ncols, tuple(range(ncols)), block=np.zeros((ncols, 0), dtype=np.int64))
 
     @property
     def rank(self) -> int:
@@ -211,8 +213,6 @@ class EchelonResult:
         return self._free
 
     def row_as_dict(self, k: int) -> dict[int, int]:
-        if self._sparse is not None:
-            return dict(self._sparse[k])
         r = self._block[k]
         out = {self.pivots[k]: 1}
         out.update((self._free[j], int(r[j])) for j in np.nonzero(r)[0])
@@ -221,51 +221,45 @@ class EchelonResult:
     def free_block(self) -> np.ndarray:
         """The rows' entries at the free columns, as a rank x free-columns
         int64 array."""
-        if self._block is not None:
-            return self._block.astype(np.int64)
-        rows = CsrRows.from_dicts(self._sparse, self.p)
-        at = np.full(self.ncols, -1, dtype=np.intp)
-        at[list(self._free)] = np.arange(len(self._free))
-        keep = at[rows.cols] >= 0
-        out = np.zeros((self.rank, len(self._free)), dtype=np.int64)
-        out[np.repeat(np.arange(self.rank), np.diff(rows.indptr))[keep],
-            at[rows.cols[keep]]] = rows.vals[keep]
+        return self._block
+
+    def normal_forms(self) -> np.ndarray:
+        """The ncols x free-columns int64 array whose row j is the normal
+        form of unit vector j modulo the row space, in the basis of the free
+        columns: a unit vector at a free column, minus the row's free
+        entries at a pivot."""
+        out = np.zeros((self.ncols, len(self._free)), dtype=np.int64)
+        out[list(self._free), np.arange(len(self._free))] = 1
+        out[list(self.pivots)] = -self._block % self.p
         return out
 
     def reduce_vector(self, vec: Sequence[int]) -> list[int]:
         """Normal form of vec modulo the row space; zero on pivot columns."""
-        p = self.p
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        out = [int(x) % p for x in vec]
-        if self._block is not None:
-            return [int(x) for x in self.reduce_block(np.array([out], dtype=np.int64))[0]]
-        for k, c in enumerate(self.pivots):
-            f = out[c]
-            if f:
-                for j, rv in self._sparse[k].items():
-                    out[j] = (out[j] - f * rv) % p
-        return out
+        out = np.array([[int(x) % self.p for x in vec]], dtype=np.int64)
+        return [int(x) for x in self.reduce_block(out)[0]]
 
     def reduce_block(self, block: np.ndarray) -> np.ndarray:
         """Row-wise reduce_vector for an int64 array of shape (m, ncols)."""
         p = self.p
         if block.shape[1] != self.ncols:
             raise ValueError("block width does not match column count")
-        if not self.pivots:
-            return block % p
-        if self._block is None:
-            out = np.empty_like(block)
-            for i in range(block.shape[0]):
-                out[i] = self.reduce_vector([int(x) for x in block[i]])
-            return out
-        v = (block % p).astype(np.float64)
+        v = block % p
+        out = np.zeros_like(v)
         free = list(self._free)
-        out = np.zeros(block.shape, dtype=np.int64)
         if free:
-            red = _matmul_modp(v[:, list(self.pivots)], self._block, p)
-            out[:, free] = np.mod(v[:, free] - red, p)
+            red = matmul_modp(v[:, list(self.pivots)], self._block, p)
+            out[:, free] = (v[:, free] - red) % p
         return out
+
+
+def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for int64 arrays with entries in [0, p): in
+    float64 for p <= FLOAT_TIER_MAX, in _Zp64 arithmetic above."""
+    if p <= FLOAT_TIER_MAX:
+        return _matmul_modp(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
+    return _Zp64(p).matmul(a.view(np.uint64), b.view(np.uint64)).view(np.int64)
 
 
 def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -399,7 +393,8 @@ def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
             residue = np.mod(residue - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv], p), p)
         if np.any(residue):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")
-    return EchelonResult(p, c, tuple(pivots), block=np.delete(rbuf[:npiv], pivots, axis=1))
+    return EchelonResult(p, c, tuple(pivots),
+                         np.delete(rbuf[:npiv], pivots, axis=1).astype(np.int64))
 
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -461,21 +456,43 @@ class _Zp64:
         """Column sums mod p of a (k, w) array with entries < p.  Each
         entry is split at bit 31 and both halves are summed exactly, so one
         reduction per column replaces k modular additions."""
-        lo = (terms & _M31).sum(axis=0, dtype=np.uint64) % self.p
-        hi = (terms >> _S31).sum(axis=0, dtype=np.uint64) % self.p
-        return self.add(self.mul(hi, self._two31, self._two31pre), lo)
+        lo = (terms & _M31).sum(axis=0, dtype=np.uint64)
+        hi = (terms >> _S31).sum(axis=0, dtype=np.uint64)
+        return self._recombine(lo, hi)
+
+    def _recombine(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(hi 2^31 + lo) mod p for any uint64 lo and hi."""
+        return self.add(self.mul(hi, self._two31, self._two31pre), lo % self.p)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a @ b) mod p for uint64 arrays with entries < p.  Each column of
+        a is multiplied into the matching row of b with Shoup's product
+        (b's quotients are computed once), and the terms are summed in
+        halves split at bit 31 as in colsum: a half is below 2^32, so sums
+        of fewer than 2^32 terms cannot wrap.  Inner indices are taken a
+        chunk at a time, keeping temporaries near _CHUNK elements."""
+        m, k = a.shape
+        w = b.shape[1]
+        bpre = self.pre(b)
+        lo = np.zeros((m, w), dtype=np.uint64)
+        hi = np.zeros((m, w), dtype=np.uint64)
+        step = max(1, _CHUNK // max(1, m * w))
+        for s in range(0, k, step):
+            t = self.mul(a[:, s:s + step, None], b[None, s:s + step], bpre[None, s:s + step])
+            lo += (t & _M31).sum(axis=1, dtype=np.uint64)
+            hi += (t >> _S31).sum(axis=1, dtype=np.uint64)
+        return self._recombine(lo, hi)
 
 
-def _block_cells(nrows: int, ncols: int) -> int:
+def _block_cells(maxrank: int, ncols: int) -> int:
     """Most uint64 cells the row-insertion block can hold at once.  With t
     pivot rows stored the width is at most ncols - t + _COMPACT_EVERY (free
     columns plus pivot columns not yet compacted away), and t rises to at
-    most min(nrows, ncols); t times that width peaks at t = (ncols +
-    _COMPACT_EVERY) / 2."""
+    most maxrank; t times that width peaks at t = (ncols + _COMPACT_EVERY)
+    / 2."""
     def cells(t: int) -> int:
         return t * min(ncols, ncols + _COMPACT_EVERY - t)
 
-    maxrank = min(nrows, ncols)
     t = min(maxrank, (ncols + _COMPACT_EVERY) // 2)
     return max(cells(t), cells(min(maxrank, t + 1)))
 
@@ -490,10 +507,12 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
     block preallocated at its largest size, whose columns are the free
     columns plus the pivot columns found since the last compaction; on
     those the block holds the identity, so one subtraction clears them.
-    Rows stop being read once the rank reaches ncols: the echelon is then
-    the identity, and every later row lies in its span."""
+    Rows stop being read once the rank reaches the matrix's rank bound (at
+    most ncols): the pivot rows then span the whole row space, so every
+    later row lies in their span."""
     p, c = mat.p, mat.ncols
-    cells = _block_cells(mat.nrows, c)
+    maxrank = min(mat.nrows, c if mat.rank_bound is None else mat.rank_bound)
+    cells = _block_cells(maxrank, c)
     if cells * 8 > ENGINE_BYTES_LIMIT:
         raise SizeGuardExceeded(
             f"row-insertion block needs {cells * 8} bytes for "
@@ -531,22 +550,17 @@ def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
         rowof[lead] = r
         pivcols.append(lead)
         r += 1
-        if r == c:
+        if r == maxrank:
             break
         if r % _COMPACT_EVERY == 0:
             frame, w = _compact(buf, r, w, frame, rowof)
             pos[:] = -1
             pos[frame] = np.arange(w)
-    frame, w = _compact(buf, r, w, frame, rowof)
-    block = buf[:r * w].reshape(r, w)
-    free = frame.tolist()
-    rows = []
-    for k in sorted(range(r), key=pivcols.__getitem__):
-        nz = np.flatnonzero(block[k])
-        row = {pivcols[k]: 1}
-        row.update(zip([free[j] for j in nz.tolist()], block[k, nz].tolist()))
-        rows.append(row)
-    return EchelonResult(p, c, tuple(sorted(pivcols)), sparse=rows)
+    # after the last compaction the block's columns are the free columns,
+    # in order; its rows are put in pivot order
+    _, w = _compact(buf, r, w, frame, rowof)
+    block = buf[:r * w].reshape(r, w)[np.argsort(pivcols)]
+    return EchelonResult(p, c, tuple(sorted(pivcols)), block.view(np.int64))
 
 
 def _reduce_into(zp: _Zp64, block: np.ndarray, ks: np.ndarray, f: np.ndarray,
@@ -598,8 +612,8 @@ def _compact(buf: np.ndarray, r: int, w: int, frame: np.ndarray,
 
 
 def rref(mat: FieldMatrix) -> EchelonResult:
-    if mat.nrows == 0 or mat.ncols == 0:
-        return EchelonResult(mat.p, mat.ncols, (), sparse=[])
+    if mat.nrows == 0 or mat.ncols == 0 or mat.rank_bound == 0:
+        return EchelonResult(mat.p, mat.ncols, (), np.zeros((0, mat.ncols), dtype=np.int64))
     if mat.p <= FLOAT_TIER_MAX:
         return _rref_float_blocked(mat)
     return _rref_rowinsert(mat)

@@ -7,21 +7,36 @@ piece one past the socle degree (n+1)(d-2) certifies that the partials are
 a regular sequence, hence that the form is smooth and R is the complete
 intersection quotient with the standard Hilbert series.
 
-That vanishing is read off the socle echelon where it can be: in every
-degree above d-1 the ideal is S_1 times its piece one degree lower, so
-R_{socle+1} is (n+1) copies of R_socle modulo the relations x_k m = x_j m',
-and a relation matrix (n+1) dim R_socle columns wide, n+1 for a smooth
-form, has full rank exactly when R_{socle+1} = 0.  Otherwise the socle+1
-ideal matrix is eliminated as for any other degree.
+Most degrees are not eliminated from their ideal matrix.  In every degree
+above d-1 the ideal is S_1 times its piece one degree lower, so R_{q+1} is
+(n+1) copies of R_q modulo the relations x_k m = x_j m', and a relation
+matrix (n+1) dim R_q columns wide gives degree q+1, smooth form or not.
+Its echelon yields the normal form of every degree-(q+1) monomial, and the
+echelon of those normal forms gives the unique echelon of the ideal matrix
+(Matrix-F5's incremental step, Bardet-Faugere-Salvy 2015).  The chain is
+taken wherever it is narrower than the ideal matrix, which for a smooth
+form covers the degrees from a little past the middle up to socle+1, whose
+relation matrix is n+1 columns wide.  The complete-intersection series
+bounds every rank from above, which lets the elimination stop reading rows
+early.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
-from .exactla import CsrRows, EchelonResult, FieldMatrix, RowArrays, SizeGuardExceeded, rref
+from .exactla import (
+    ENGINE_BYTES_LIMIT,
+    EchelonResult,
+    FieldMatrix,
+    RowArrays,
+    SizeGuardExceeded,
+    matmul_modp,
+    rref,
+)
 from .polyring import (
     HomogeneousForm,
     Monomial,
@@ -107,6 +122,32 @@ class _IdealRows(RowArrays):
         return ip - s, cols[s:e], vals[s:e]
 
 
+class _RelationRows(RowArrays):
+    """The rows x_k (x) [m] - x_j (x) [m'] of a relation matrix, one per
+    pair of positions a = k * M + m, b = j * M + m' (M the number of
+    degree-q monomials), with the normal forms nf of the degree-q monomials
+    in a basis of R_q (f columns) at columns k*f.. and j*f...  Rows are
+    built on each request, so an engine that stops early never builds the
+    rest."""
+
+    def __init__(self, nf: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
+        self._nf, self._a, self._b, self._p = nf, a, b, p
+
+    def __len__(self) -> int:
+        return self._a.size
+
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        (m, f), a, b = self._nf.shape, self._a[lo:hi], self._b[lo:hi]
+        span = np.arange(f)
+        cols = np.concatenate([(a // m)[:, None] * f + span,
+                               (b // m)[:, None] * f + span], axis=1)
+        vals = np.concatenate([self._nf[a % m], -self._nf[b % m] % self._p], axis=1)
+        nonzero = vals != 0
+        indptr = np.zeros(a.size + 1, dtype=np.int64)
+        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+        return indptr, cols[nonzero], vals[nonzero]
+
+
 class JacobianRing:
     """Exact model of the Jacobian ring of one form at one prime."""
 
@@ -122,39 +163,88 @@ class JacobianRing:
         self.degree = form.degree
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
+        self._ci = ci_hilbert_coefficients(self.n, self.degree)
         self._installed: dict[int, int] = {}
         self._ech: dict[int, EchelonResult] = {}
+        self._stages: dict[int, dict] = {}
         self._smooth: bool | None = None
 
-    def ideal_matrix(self, p: int) -> FieldMatrix:
-        """Rows span the degree-p piece of the partials' ideal; columns are
-        the degree-p monomials.  The rows are regenerated on every pass over
-        them (they are cheap, the echelon is what gets cached), so they are
-        never all in memory at once."""
+    def _ci_dim(self, p: int) -> int:
+        """The complete-intersection dim CI_p, a lower bound on dim R_p for
+        every form: the ideal matrix's rank is largest on an open set of
+        tuples of degree-(d-1) forms, which meets the open set of regular
+        sequences (x_i^(d-1) is one), so no tuple has a larger rank."""
+        return self._ci[p] if 0 <= p < len(self._ci) else 0
+
+    def _check_columns(self, p: int) -> int:
         cols = monomial_count(self.n, p)
         if cols > IDEAL_MATRIX_COLUMN_LIMIT:
             raise SizeGuardExceeded(
                 f"degree-{p} piece has {cols} monomials, over the "
                 f"{IDEAL_MATRIX_COLUMN_LIMIT} limit")
+        return cols
+
+    def ideal_matrix(self, p: int) -> FieldMatrix:
+        """Rows span the degree-p piece of the partials' ideal; columns are
+        the degree-p monomials; the rank is at most C(n+p, n) - CI_p.  The
+        rows are regenerated on every pass over them (they are cheap, the
+        echelon is what gets cached), so they are never all in memory at
+        once."""
+        cols = self._check_columns(p)
         rows = _IdealRows(self.n, p, p - (self.degree - 1), self.partials)
-        return FieldMatrix(self.field.p, len(rows), cols, rows)
+        return FieldMatrix(self.field.p, len(rows), cols, rows,
+                           rank_bound=cols - self._ci_dim(p))
 
     def echelon(self, p: int) -> EchelonResult:
         """Reduced echelon form of the degree-p ideal matrix, computed once
         and kept; raises DimConflict when it contradicts an installed dim.
-        Degree socle+1 needs no ideal matrix when the socle's relation
-        matrix proves it vanishes."""
+        It comes from the relations of degree p-1 when they are narrower
+        than the degree-p ideal matrix, otherwise from that matrix."""
         if p not in self._ech:
-            e = self._vanishing_past_socle() if p == self.socle + 1 else None
-            if e is None:
-                e = rref(self.ideal_matrix(p))
+            self._check_columns(p)
+            relation = self._relation_route(p - 1)
+            t0 = time.perf_counter()
+            if relation:
+                mat = self.relation_matrix(p - 1)
+                e, rank = self._next_echelon(p - 1, mat)
+            else:
+                mat = self.ideal_matrix(p)
+                e = rref(mat)
+                rank = e.rank
             dim = e.ncols - e.rank
             if self._installed.get(p, dim) != dim:
                 raise DimConflict(
                     f"degree {p}: cached dim {self._installed[p]} but "
                     f"elimination gives {dim}")
             self._ech[p] = e
+            self._stages[p] = {
+                "degree": p, "route": "relation" if relation else "ideal",
+                "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
+                "rank": rank, "dim": dim,
+                "ms": round((time.perf_counter() - t0) * 1000, 3)}
         return self._ech[p]
+
+    def _relation_route(self, q: int) -> bool:
+        """Whether degree q+1 comes from the relations of degree q: q >= d-1
+        and (n+1) dim R_q < C(n+q+1, n), so the relation matrix has fewer
+        columns than the ideal matrix.  dim R_q >= CI_q settles most low
+        degrees without eliminating degree q."""
+        cols = monomial_count(self.n, q + 1)
+        if q < self.degree - 1 or (self.n + 1) * self._ci_dim(q) >= cols:
+            return False
+        e = self.echelon(q)
+        return (self.n + 1) * (e.ncols - e.rank) < cols
+
+    def _representations(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The products x_k * m of every variable k and degree-q monomial m,
+        as positions t = k * C(n+q, n) + m ordered by the column of the
+        product (a stable sort, so k ascends within one product), and the
+        mask of the positions whose product equals the next one's."""
+        keys = monomial_keys(self.n, q + 1)
+        prods = keys.columns((keys.of(enumerate_monomials(self.n, q))
+                              + keys.weights[:, None]).ravel())
+        order = np.argsort(prods, kind="stable")
+        return order, prods[order[1:]] == prods[order[:-1]]
 
     def relation_matrix(self, q: int) -> FieldMatrix:
         """The relations that give R_{q+1} from R_q, for q >= d-1.
@@ -165,53 +255,65 @@ class JacobianRing:
         Written in the basis of R_q that echelon(q) gives, column k*f + i
         for x_k (x) basis vector i (f = dim R_q), one row per consecutive
         pair of representations of a degree-(q+1) monomial, these span K, so
-        dim R_{q+1} = (n+1) f - rank."""
+        dim R_{q+1} = (n+1) f - rank.  That is at least CI_{q+1}, so the
+        rank is at most (n+1) f - CI_{q+1}, the matrix's rank bound."""
         if q < self.degree - 1:
             raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
         n, prime = self.n, self.field.p
         e = self.echelon(q)
         f = e.ncols - e.rank
-        # normal form of each degree-q monomial in the basis of R_q: a unit
-        # vector at a free column, minus the row's free entries at a pivot
-        nf = np.zeros((e.ncols, f), dtype=np.int64)
-        nf[list(e.free_columns()), np.arange(f)] = 1
-        nf[list(e.pivots)] = -e.free_block() % prime
-        # x_k * m for every variable k and degree-q monomial m, at position
-        # t = k * e.ncols + m; a stable sort by product puts the
-        # representations of one degree-(q+1) monomial next to each other,
-        # k ascending
-        keys = monomial_keys(n, q + 1)
-        prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
-        order = np.argsort(prods, kind="stable")
-        pair = prods[order[1:]] == prods[order[:-1]]
-        a, b = order[:-1][pair], order[1:][pair]
-        span = np.arange(f)
-        cols = np.concatenate([(a // e.ncols)[:, None] * f + span,
-                               (b // e.ncols)[:, None] * f + span], axis=1)
-        vals = np.concatenate([nf[a % e.ncols], -nf[b % e.ncols] % prime], axis=1)
-        nonzero = vals != 0
-        indptr = np.zeros(a.size + 1, dtype=np.int64)
-        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
-        return FieldMatrix(prime, a.size, (n + 1) * f,
-                           CsrRows(indptr, cols[nonzero], vals[nonzero]))
+        self._check_chain_bytes(q, f)
+        order, pair = self._representations(q)
+        rows = _RelationRows(e.normal_forms(), order[:-1][pair], order[1:][pair], prime)
+        return FieldMatrix(prime, len(rows), (n + 1) * f, rows,
+                           rank_bound=(n + 1) * f - self._ci_dim(q + 1))
 
-    def _vanishing_past_socle(self) -> EchelonResult | None:
-        """The degree-(socle+1) echelon, the identity, when the socle's
-        relation matrix has full rank, which proves R_{socle+1} = 0; None
-        when it has not, or when the relations are no smaller than the
-        ideal matrix.  A smooth form has dim R_socle = 1, so its relation
-        matrix has n+1 columns against C(n+socle+1, n)."""
-        q = self.socle
-        ncols = monomial_count(self.n, q + 1)
-        if q < self.degree - 1:
-            return None
-        e = self.echelon(q)
-        if (self.n + 1) * (e.ncols - e.rank) >= ncols:
-            return None
-        rel = self.relation_matrix(q)
-        if rref(rel).rank < rel.ncols:
-            return None
-        return EchelonResult.identity(self.field.p, ncols)
+    def _check_chain_bytes(self, q: int, f: int) -> None:
+        """Refuse, before allocating, a chain step from dim R_q = f whose
+        arrays would exceed ENGINE_BYTES_LIMIT: the relation matrix's CSR
+        arrays read whole, with their unfiltered copies (4 arrays of nrows x
+        2f), T ((n+1) f x g), NF_{q+1} and its transpose (C(n+q+1, n) x g
+        each), where g bounds dim R_{q+1}."""
+        cols = monomial_count(self.n, q + 1)
+        nrows = (self.n + 1) * monomial_count(self.n, q) - cols
+        g = min((self.n + 1) * f, cols)
+        need = 8 * (8 * nrows * f + (self.n + 1) * f * g + 2 * cols * g)
+        if need > ENGINE_BYTES_LIMIT:
+            raise SizeGuardExceeded(
+                f"degree-{q + 1} relation step needs {need} bytes, over the "
+                f"{ENGINE_BYTES_LIMIT} limit")
+
+    def _next_echelon(self, q: int, rel: FieldMatrix) -> tuple[EchelonResult, int]:
+        """The degree-(q+1) echelon from the relation matrix of degree q,
+        and that matrix's rank.
+
+        With E = rref(rel), T = E.normal_forms() maps x_k (x) basis vector
+        i of R_q to R_{q+1} in the basis of E's free columns, so the normal
+        form of a degree-(q+1) monomial x_k m is NF_q[m] @ T_k (T_k the
+        rows of x_k).  The echelon of the ideal matrix has as free columns
+        the monomials independent of all later ones, which are the pivots
+        of rref(NF_{q+1}^T) with its columns reversed; that rref's other
+        columns give the pivot monomials in the free ones, the echelon's
+        block up to sign.  The RREF is unique, so this is the echelon
+        rref(ideal_matrix(q+1)) gives."""
+        prime, e = self.field.p, self.echelon(q)
+        f, m = e.ncols - e.rank, e.ncols
+        er = rref(rel)
+        t = er.normal_forms()
+        g = t.shape[1]
+        nf = e.normal_forms()
+        order, pair = self._representations(q)
+        heads = order[np.concatenate([[True], ~pair])]  # first representations
+        cols = monomial_count(self.n, q + 1)
+        nf_next = np.empty((cols, g), dtype=np.int64)
+        for k in range(self.n + 1):
+            at = np.flatnonzero(heads // m == k)
+            if at.size:
+                nf_next[at] = matmul_modp(nf[heads[at] % m], t[k * f:(k + 1) * f], prime)
+        rev = rref(FieldMatrix.from_array(prime, np.ascontiguousarray(nf_next.T[:, ::-1])))
+        pivots = tuple(cols - 1 - j for j in reversed(rev.free_columns()))
+        block = -rev.free_block()[::-1, ::-1].T % prime
+        return EchelonResult(prime, cols, pivots, np.ascontiguousarray(block)), er.rank
 
     def graded_dim(self, p: int) -> int:
         """dim R_p: an installed dim if there is one, otherwise read off
@@ -244,6 +346,17 @@ class JacobianRing:
         """Dims this ring eliminated itself, without the installed ones."""
         return {p: e.ncols - e.rank for p, e in self._ech.items()
                 if p not in self._installed}
+
+    def stages(self) -> list[dict]:
+        """How each degree was obtained, in degree order: its route
+        ("ideal", "relation", or "installed" for a dim installed and never
+        eliminated), the shape of the matrix eliminated, the rows its engine
+        read, its rank, the dim and the wall time in ms."""
+        out = dict(self._stages)
+        for p, dim in self._installed.items():
+            out.setdefault(p, {"degree": p, "route": "installed", "shape": None,
+                               "rows_read": 0, "rank": None, "dim": dim, "ms": 0.0})
+        return [out[p] for p in sorted(out)]
 
     def certify_smooth(self) -> bool:
         """True when the piece past the socle vanishes, which proves the

@@ -3,6 +3,8 @@ Python integers, any modulus.  The uint64 row-insertion engine in exactla
 runs this algorithm with other storage and arithmetic, so both must return
 the same reduced echelon form."""
 
+import numpy as np
+
 from varcert.exactla import EchelonResult, FieldMatrix
 
 
@@ -40,4 +42,7 @@ def rref_sparse(mat: FieldMatrix) -> EchelonResult:
                         other.pop(j, None)
         piv[lead] = row
     pivots = tuple(sorted(piv))
-    return EchelonResult(p, mat.ncols, pivots, sparse=[piv[c] for c in pivots])
+    free = [j for j in range(mat.ncols) if j not in piv]
+    block = np.array([[piv[c].get(j, 0) for j in free] for c in pivots],
+                     dtype=np.int64).reshape(len(pivots), len(free))
+    return EchelonResult(p, mat.ncols, pivots, block)

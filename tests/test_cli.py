@@ -168,15 +168,16 @@ def test_cache_round_trip(capsys, tmp_path):
     assert code == 0
     assert first["timings_ms"]["cache_hits"] == 0
     entries = [json.loads(line) for line in cache.read_text().splitlines()]
-    # degree 8 is the socle, whose echelon the smoothness certificate uses
-    assert {e["degree"] for e in entries} == {3, 4, 8, 9}
+    # the smoothness certificate eliminates degree 5 and derives degrees
+    # 6..9 (socle+1) from the relation chain
+    assert {e["degree"] for e in entries} == set(range(3, 10))
 
     code, second, _ = run_json(capsys, *argv)
     assert code == 0
-    assert second["timings_ms"]["cache_hits"] == 4
+    assert second["timings_ms"]["cache_hits"] == 7
     assert strip_timings(first) == strip_timings(second)
     # a second run must not duplicate entries
-    assert len(cache.read_text().splitlines()) == 4
+    assert len(cache.read_text().splitlines()) == 7
 
 
 def test_cache_duplicate_lines_count_once(capsys, tmp_path):
@@ -189,7 +190,7 @@ def test_cache_duplicate_lines_count_once(capsys, tmp_path):
     cache.write_text(cache.read_text() * 2)
     code, second, _ = run_json(capsys, *argv)
     assert code == 0
-    assert second["timings_ms"]["cache_hits"] == 4
+    assert second["timings_ms"]["cache_hits"] == 7
     assert strip_timings(first) == strip_timings(second)
 
 
@@ -320,3 +321,35 @@ def test_hilbert_mismatch_exit_6(capsys, tmp_path):
                          "--cache", str(cache))
     assert code == 6 and out == ""
     assert err.startswith("internal error: HilbertMismatch") and err.count("\n") == 1
+
+
+def test_stages_report_each_degree_and_its_route(capsys, tmp_path):
+    cache = tmp_path / "ranks.jsonl"
+    argv = ("maxvar", "hypersurface", "--fermat", "3", "4", "--prime", P,
+            "--cache", str(cache))
+    code, first, _ = run_json(capsys, *argv)
+    assert code == 0
+    stages = first["timings_ms"]["stages"]
+    assert [s["degree"] for s in stages] == list(range(3, 10))
+    assert [s["route"] for s in stages] == ["ideal"] * 3 + ["relation"] * 4
+    assert [s["dim"] for s in stages] == [16, 19, 16, 10, 4, 1, 0]
+    for s in stages:
+        rows, cols = s["shape"]
+        assert s["rank"] <= min(rows, cols) and s["rows_read"] <= rows and s["ms"] >= 0
+        if s["route"] == "ideal":
+            assert s["dim"] == cols - s["rank"]
+    # a warm run eliminates only what maxvar itself needs; the cached
+    # smoothness degrees are reported as installed
+    code, second, _ = run_json(capsys, *argv)
+    routes = {s["degree"]: s["route"] for s in second["timings_ms"]["stages"]}
+    assert routes == {3: "ideal", 4: "ideal", 5: "installed", 6: "installed",
+                      7: "installed", 8: "installed", 9: "installed"}
+    assert strip_timings(first) == strip_timings(second)
+
+
+def test_relation_step_over_the_byte_limit_exits_5(capsys, monkeypatch):
+    import varcert.jacobian as jacobian
+    monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)
+    code, out, err = run(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
+    assert code == 5 and out == ""
+    assert err.startswith("refused: degree-6 relation step")

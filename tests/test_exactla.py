@@ -129,13 +129,14 @@ def test_reduce_vector_properties():
 
 def test_reduce_block_matches_reduce_vector():
     rng = random.Random(6)
-    m = rand_mat(rng, 1048573, 9, 12, 0.5)
-    e = rref(m)
-    block = np.array([[rng.randrange(1048573) for _ in range(12)] for _ in range(5)],
-                     dtype=np.int64)
-    red = e.reduce_block(block)
-    for i in range(5):
-        assert list(red[i]) == e.reduce_vector([int(x) for x in block[i]])
+    for p in [1048573, 8388617, (1 << 31) - 1, (1 << 62) - 57, (1 << 63) - 25]:
+        m = rand_mat(rng, p, 9, 12, 0.5)
+        e = rref(m)
+        block = np.array([[rng.randrange(p) for _ in range(12)] for _ in range(5)],
+                         dtype=np.int64)
+        red = e.reduce_block(block)
+        for i in range(5):
+            assert list(red[i]) == e.reduce_vector([int(x) for x in block[i]])
 
 
 def test_kernel_witness_none_iff_full_column_rank():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from varcert.exactla import SizeGuardExceeded, rref
+from varcert.exactla import FieldMatrix, SizeGuardExceeded, rref
 from varcert.jacobian import (
     CharacteristicError,
     JacobianRing,
@@ -215,20 +215,39 @@ def test_set_dim_short_circuits_computation():
 
 
 def test_each_degree_is_eliminated_once(monkeypatch):
+    # every degree is computed once: by its ideal matrix below the chain
+    # start, by exactly one relation matrix (of the degree below) from it on;
+    # a relation step eliminates its relation matrix and the transposed
+    # normal forms, an ideal step only its matrix
     import varcert.jacobian as jacobian
     calls = []
     real = jacobian.rref
+    ideal, relation = [], []
+    real_ideal, real_relation = JacobianRing.ideal_matrix, JacobianRing.relation_matrix
 
     def counting(mat):
         calls.append(mat.ncols)
         return real(mat)
 
+    def ideal_recording(self, p):
+        ideal.append(p)
+        return real_ideal(self, p)
+
+    def relation_recording(self, q):
+        relation.append(q)
+        return real_relation(self, q)
+
     monkeypatch.setattr(jacobian, "rref", counting)
+    monkeypatch.setattr(JacobianRing, "ideal_matrix", ideal_recording)
+    monkeypatch.setattr(JacobianRing, "relation_matrix", relation_recording)
     ring = fermat_ring(3, 4, F)
     ring.hilbert_function()
     for p in range(ring.socle + 2):
         ring.quotient_basis(p)
-    assert len(calls) == ring.socle + 2
+    assert ideal == list(range(6))
+    assert relation == list(range(5, ring.socle + 1))
+    assert len(calls) == len(ideal) + 2 * len(relation)
+    assert [s["route"] for s in ring.stages()] == ["ideal"] * 6 + ["relation"] * 4
 
 
 ROUTE_PRIMES = [1048573, 8388617, (1 << 31) - 1, (1 << 62) - 57]
@@ -254,9 +273,17 @@ def route_ring(n, d, text, prime):
         n, d, {m: c for m, c in terms.items() if c}, field))
 
 
+def unbounded(mat):
+    """The same rows without the rank bound, so an engine reads them all."""
+    return FieldMatrix(mat.p, mat.nrows, mat.ncols, mat.rows)
+
+
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
 @pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, smooth, prime):
+    # every degree 0..socle+1 equals the echelon of its whole ideal matrix,
+    # pivots and every row; the ideal matrix's rank bound C(n+q, n) - CI_q
+    # holds for the unstopped rank
     ring = route_ring(n, d, text, prime)
     built = []
     ideal_matrix = ring.ideal_matrix
@@ -267,34 +294,50 @@ def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, sm
 
     ring.ideal_matrix = recording
     top = ring.socle + 1
-    got = ring.echelon(top)
-    ref = rref(ideal_matrix(top))
-    assert got.pivots == ref.pivots
-    assert got.free_columns() == ref.free_columns()
-    for k in range(ref.rank):
-        assert got.row_as_dict(k) == ref.row_as_dict(k)
+    ring.echelon(top)
+    ci = ci_hilbert_coefficients(n, d) + [0]
+    for q in range(top + 1):
+        got = ring.echelon(q)
+        mat = ideal_matrix(q)
+        ref = rref(unbounded(mat))
+        assert got.pivots == ref.pivots, q
+        assert got.free_columns() == ref.free_columns()
+        for k in range(ref.rank):
+            assert got.row_as_dict(k) == ref.row_as_dict(k)
+        assert mat.rank_bound == monomial_count(n, q) - ci[q]
+        assert ref.rank <= mat.rank_bound
     assert (ref.rank == ref.ncols) == smooth
-    # the relation rank stands in for the ideal matrix exactly when it
-    # proves R_{socle+1} = 0 from a socle at or above degree d-1
-    relation_route = smooth and ring.socle >= d - 1
-    assert (top in built) == (not relation_route)
+    # singular forms and the cone take the relation chain as smooth ones
+    # do: every degree from the chain start up to socle+1 comes from
+    # relations, and no ideal matrix is built there
+    routes = [st["route"] for st in ring.stages()]
+    start = routes.index("relation") if "relation" in routes else top + 1
+    assert routes == ["ideal"] * start + ["relation"] * (top + 1 - start)
+    assert (start <= top) == (ring.socle >= d - 1)
+    assert all(p < start for p in built)
 
 
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
 @pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_relation_rank_gives_the_next_graded_dim(label, n, d, text, smooth, prime):
     # dim R_{q+1} = (n+1) dim R_q - rank(Rel) for every q >= d-1, singular
-    # forms included; checked up to the socle and one degree past it
+    # forms included; checked up to the socle and one degree past it with
+    # the unstopped rank, which must also respect the bound (n+1) f_q -
+    # CI_{q+1}
     ring = route_ring(n, d, text, prime)
+    ci = ci_hilbert_coefficients(n, d) + [0, 0]
     for q in range(d - 1, ring.socle + 2):
         rel = ring.relation_matrix(q)
         assert rel.ncols == (n + 1) * ring.graded_dim(q)
-        assert rel.ncols - rref(rel).rank == ring.graded_dim(q + 1), q
+        assert rel.rank_bound == rel.ncols - ci[q + 1]
+        full = rref(unbounded(rel)).rank
+        assert rel.ncols - full == ring.graded_dim(q + 1), q
+        assert full <= rel.rank_bound
     with pytest.raises(ValueError):
         ring.relation_matrix(d - 2)
 
 
-def test_smoothness_certificate_skips_the_socle_successor_ideal_matrix(monkeypatch):
+def ideal_matrices_built_by_certificate(monkeypatch, n, d, text, smooth):
     built = []
     real = JacobianRing.ideal_matrix
 
@@ -303,6 +346,60 @@ def test_smoothness_certificate_skips_the_socle_successor_ideal_matrix(monkeypat
         return real(self, p)
 
     monkeypatch.setattr(JacobianRing, "ideal_matrix", recording)
+    ring = route_ring(n, d, text, F.p)
+    assert ring.certify_smooth() == smooth
+    # every degree above the one ideal matrix comes from relations
+    assert [st["degree"] for st in ring.stages() if st["route"] == "relation"] == \
+        list(range(built[-1] + 1, ring.socle + 2))
+    return built
+
+
+def test_smoothness_certificate_skips_the_socle_successor_ideal_matrix(monkeypatch):
+    # a smooth (3,4) form builds one ideal matrix, degree 5, the last below
+    # the relation chain: (n+1) CI_4 = 76 >= C(8, 3) = 56 columns
+    assert ideal_matrices_built_by_certificate(monkeypatch, 3, 4, None, True) == [5]
+
+
+def test_singular_form_builds_no_socle_ideal_matrix(monkeypatch):
+    # a relation matrix without full rank still gives dim R_{socle+1}, so a
+    # singular form pays no socle or socle+1 ideal matrix either
+    built = ideal_matrices_built_by_certificate(
+        monkeypatch, 4, 4, "x0^2*x1^2 + x1^4 + x2^4 + x3^4 + x4^4", False)
+    assert built == [6]
+
+
+def test_relation_step_size_guard_refuses_before_allocating(monkeypatch):
+    import varcert.jacobian as jacobian
     ring = route_ring(3, 4, None, F.p)
+    ring.echelon(5)  # the last degree below the relation chain
+    # the degree-6 step needs about 262 kB: Rel_5 is 140 x 64, dim R_5 = 16
+    monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)
+    monkeypatch.setattr(JacobianRing, "_representations",
+                        lambda self, q: pytest.fail("relations built"))
+    with pytest.raises(SizeGuardExceeded):
+        ring.echelon(6)
+    monkeypatch.undo()
+    assert ring.echelon(6).rank == monomial_count(3, 6) - 10
+
+
+def test_column_limit_applies_to_relation_degrees(monkeypatch):
+    import varcert.jacobian as jacobian
+    # degree 9 of a (3,4) form comes from relations; a column limit just
+    # below its 220 monomials refuses it before any degree is eliminated
+    monkeypatch.setattr(jacobian, "IDEAL_MATRIX_COLUMN_LIMIT", monomial_count(3, 9) - 1)
+    ring = route_ring(3, 4, None, F.p)
+    with pytest.raises(SizeGuardExceeded):
+        ring.echelon(9)
+    assert ring.stages() == []
+
+
+def test_certify_smooth_past_the_desk_scale_budget():
+    # a seeded (5,4) form: the float tier would need 1.5 GB for its
+    # 12012 x 6188 socle ideal matrix; the chain eliminates ideal matrices
+    # up to degree 7 only, and relation matrices at most 756 columns wide
+    ring = route_ring(5, 4, None, F.p)
     assert ring.certify_smooth()
-    assert built == [ring.socle]
+    assert list(ring.hilbert_function()) == ci_hilbert_coefficients(5, 4) + [0]
+    stages = ring.stages()
+    assert [st["route"] for st in stages] == ["ideal"] * 8 + ["relation"] * 6
+    assert max(st["shape"][1] for st in stages) == 792

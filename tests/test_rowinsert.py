@@ -1,7 +1,7 @@
 """The uint64 row-insertion engine for primes above 2^23: its Shoup
-arithmetic, exactness at the tier-boundary primes against the sparse
-reference, its stop at full column rank, its pre-flight size guard and its
-memory budget."""
+arithmetic and block product, exactness at the tier-boundary primes against
+the sparse reference, its stop at the rank bound, its pre-flight size guard
+and its memory budget."""
 
 import random
 import tracemalloc
@@ -11,12 +11,16 @@ import pytest
 
 from rref_reference import rref_sparse
 from varcert.exactla import (
+    _CHUNK,
+    _ROWS_PER_READ,
     FLOAT_TIER_MAX,
     CsrRows,
+    EchelonResult,
     FieldMatrix,
     SizeGuardExceeded,
     _Zp64,
     dense_rank_oracle,
+    matmul_modp,
     rref,
 )
 from varcert.jacobian import JacobianRing
@@ -58,6 +62,57 @@ def test_shoup_mulmod_and_split_sum_match_python_ints(p):
     terms = np.array([vals, [p - 1] * len(vals), vals[::-1]] + [[p - 1] * len(vals)] * 60,
                      dtype=np.uint64)
     assert zp.colsum(terms).tolist() == [sum(col) % p for col in terms.T.tolist()]
+
+
+EXACT_PRIMES = [8388617, (1 << 31) - 1, P62, (1 << 63) - 25]
+
+
+def edge_values(rng, p, shape):
+    """Entries drawn from {0, 1, p-1} and uniform residues, half each."""
+    a = np.array([rng.choice([0, 1, p - 1]) if rng.random() < 0.5 else rng.randrange(p)
+                  for _ in range(shape[0] * shape[1])], dtype=np.uint64)
+    return a.reshape(shape)
+
+
+def python_matmul(a, b, p):
+    a, b = a.tolist(), b.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_block_product_matches_python_ints(p):
+    rng = random.Random(p + 1)
+    zp = _Zp64(p)
+    # inner sizes past one _CHUNK, and outputs wider than one _CHUNK
+    for m, k, w in [(1, 1, 1), (2, _CHUNK + 500, 3), (90, 7, 100), (5, 130, 70)]:
+        a, b = edge_values(rng, p, (m, k)), edge_values(rng, p, (k, w))
+        expect = python_matmul(a, b, p)
+        assert zp.matmul(a, b).tolist() == expect
+        assert matmul_modp(a.view(np.int64), b.view(np.int64), p).tolist() == expect
+    ones = np.full((3, _CHUNK + 7), p - 1, dtype=np.uint64)
+    assert zp.matmul(ones, ones.T.copy()).tolist() == [[(_CHUNK + 7) % p] * 3] * 3
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_reduce_block_and_vector_match_python_ints(p):
+    # an echelon with more than 64 pivots and a block of edge values: the
+    # normal form of v is v - v[pivots] @ block at the free columns
+    rng = random.Random(p + 2)
+    ncols, rank = 160, 100
+    pivots = tuple(sorted(rng.sample(range(ncols), rank)))
+    free = [j for j in range(ncols) if j not in pivots]
+    e = EchelonResult(p, ncols, pivots, edge_values(rng, p, (rank, len(free))).view(np.int64))
+    vecs = edge_values(rng, p, (12, ncols)).view(np.int64)
+    blk = e.free_block().tolist()
+    expect = []
+    for v in vecs.tolist():
+        out = [0] * ncols
+        for j, col in enumerate(free):
+            out[col] = (v[col] - sum(v[c] * blk[k][j] for k, c in enumerate(pivots))) % p
+        expect.append(out)
+    assert e.reduce_block(vecs).tolist() == expect
+    for v, want in zip(vecs.tolist(), expect):
+        assert e.reduce_vector(v) == want
 
 
 def boundary_matrix(rng, p, r, c, density):
@@ -142,6 +197,49 @@ def test_rows_after_full_column_rank_are_not_read():
     assert recorded.asked and all(lo < c for lo, _ in recorded.asked)
 
 
+def test_rows_after_the_rank_bound_are_not_read():
+    rng = random.Random(41)
+    c, k = 60, 25
+    # k independent rows, then combinations of them: rank k, given as the
+    # bound, is reached at row k, in the first block of rows read
+    head = [{j: rng.randrange(1, P62) for j in range(c) if rng.random() < 0.4} | {i: 1}
+            for i in range(k)]
+    tail = []
+    for _ in range(1500):
+        row: dict[int, int] = {}
+        for src in rng.sample(head, 3):
+            f = rng.randrange(1, P62)
+            for j, v in src.items():
+                row[j] = (row.get(j, 0) + f * v) % P62
+        tail.append({j: v for j, v in row.items() if v})
+    rows = head + tail
+    recorded = RecordingRows(rows, P62)
+    mat = FieldMatrix(P62, len(rows), c, recorded, rank_bound=k)
+    e = rref(mat)
+    ref = rref_sparse(FieldMatrix.from_rows(P62, c, rows))
+    assert e.rank == ref.rank == k
+    assert e.pivots == ref.pivots
+    for i in range(k):
+        assert e.row_as_dict(i) == ref.row_as_dict(i)
+    assert mat.rows_read == _ROWS_PER_READ
+    assert recorded.asked and all(lo < k for lo, _ in recorded.asked)
+
+
+def test_relation_matrix_reads_one_block_of_rows():
+    # the (4,4) relation matrix of degree 9: 2574 rows for rank 24, the
+    # bound (n+1) dim R_9 - CI_10 = 25 - 1, reached within the first read
+    ring = seeded_ring(4, 4, P62, 44)
+    rel = ring.relation_matrix(9)
+    recorded = RecordingRows(list(rel.rows), P62)
+    e = rref(FieldMatrix(P62, rel.nrows, rel.ncols, recorded, rank_bound=rel.rank_bound))
+    ref = rref_sparse(rel)
+    assert (rel.nrows, rel.ncols, rel.rank_bound, e.rank) == (2574, 25, 24, 24)
+    assert e.pivots == ref.pivots
+    for i in range(e.rank):
+        assert e.row_as_dict(i) == ref.row_as_dict(i)
+    assert recorded.asked == [(0, _ROWS_PER_READ)]
+
+
 def test_block_size_guard_refuses_before_allocating(monkeypatch):
     n = 40000
     mat = FieldMatrix(P62, n, n, [{i: 1} for i in range(n)])
@@ -158,9 +256,20 @@ def test_block_size_guard_refuses_before_allocating(monkeypatch):
 
 
 def test_smoothness_echelon_memory_budget():
-    # the 2475 x 1365 socle+1 matrix of a (4,4) form: the block peaks near
-    # 3.8 MB; holding all rows at once adds about 2.9 MB, and a dense
+    # the 2475 x 1365 socle+1 ideal matrix of a (4,4) form: the block peaks
+    # near 3.8 MB; holding all rows at once adds about 2.9 MB, and a dense
     # rank x ncols buffer alone would take 15 MB
+    ring = seeded_ring(4, 4, P62, 44)
+    tracemalloc.start()
+    try:
+        e = rref(ring.ideal_matrix(ring.socle + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.rank, e.ncols) == (1365, 1365)
+    assert peak < 6 * 10 ** 6
+    # the relation chain reaches the same echelon, from the degree-6 ideal
+    # matrix up, within about 1.1 MB
     ring = seeded_ring(4, 4, P62, 44)
     tracemalloc.start()
     try:
@@ -169,4 +278,4 @@ def test_smoothness_echelon_memory_budget():
     finally:
         tracemalloc.stop()
     assert (e.rank, e.ncols) == (1365, 1365)
-    assert peak < 6 * 10 ** 6
+    assert peak < 2 * 10 ** 6
