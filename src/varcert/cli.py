@@ -10,8 +10,6 @@ identical invocations produce identical bytes apart from timings_ms.
 from __future__ import annotations
 
 import argparse
-import fcntl
-import hashlib
 import json
 import re
 import sys
@@ -20,20 +18,13 @@ from pathlib import Path
 from typing import Optional
 
 from .exactla import MatrixFormatError, SizeGuardExceeded, dense_rank_oracle, load_matrix, rref
-from .jacobian import (
-    CharacteristicError,
-    DimConflict,
-    HilbertMismatch,
-    JacobianRing,
-    ci_hilbert_coefficients,
-)
+from .jacobian import CharacteristicError, HilbertMismatch, JacobianRing, ci_hilbert_coefficients
 from .lefschetz import wlp_sweep
 from .polyring import (
     HomogeneousForm,
     PolyError,
     PrimeField,
     form_to_str,
-    monomial_count,
     parse_form,
 )
 from .variation import (
@@ -72,64 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise CliError(message)
-
-
-def form_fingerprint(form: HomogeneousForm) -> str:
-    text = f"{form.n}|{form.degree}|{form_to_str(form)}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-class RankCache:
-    """Append-only JSON-lines store of ideal-matrix ranks, keyed by
-    (form fingerprint, prime, degree).  Appends hold an advisory lock so
-    concurrent processes interleave whole lines; unreadable lines are
-    skipped on load."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.hits = 0
-
-    def preload(self, ring: JacobianRing, fingerprint: str) -> None:
-        """Install the cached dims of this form and prime, one per degree;
-        lines that repeat a degree must agree (concurrent appends can
-        duplicate a line), otherwise DimConflict."""
-        if not self.path.exists():
-            return
-        dims: dict[int, int] = {}
-        with open(self.path) as fh:
-            for line in fh:
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if (entry.get("form") == fingerprint
-                        and entry.get("prime") == ring.field.p
-                        and isinstance(entry.get("degree"), int)
-                        and isinstance(entry.get("rank"), int)
-                        and entry.get("cols") == monomial_count(ring.n, entry["degree"])):
-                    degree, dim = entry["degree"], entry["cols"] - entry["rank"]
-                    if dims.setdefault(degree, dim) != dim:
-                        raise DimConflict(
-                            f"degree {degree}: cache lines give dims "
-                            f"{dims[degree]} and {dim}")
-        for degree, dim in dims.items():
-            ring.set_dim(degree, dim)
-        self.hits += len(dims)
-
-    def store(self, ring: JacobianRing, fingerprint: str) -> None:
-        """Append the dims the ring computed; preloaded ones are on file."""
-        lines = []
-        for degree, dim in sorted(ring.computed_dims().items()):
-            cols = monomial_count(ring.n, degree)
-            lines.append(json.dumps({"form": fingerprint, "prime": ring.field.p,
-                                     "degree": degree, "cols": cols,
-                                     "rank": cols - dim}) + "\n")
-        if not lines:
-            return
-        with open(self.path, "a") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.writelines(lines)
-            fcntl.flock(fh, fcntl.LOCK_UN)
 
 
 def infer_variable_count(text: str) -> int:
@@ -185,11 +118,8 @@ def _config(args) -> dict:
     return {"prime": args.prime, "seed": args.seed, "trials": args.trials}
 
 
-def _timings(t0: float, cache: Optional[RankCache],
-             ring: Optional[JacobianRing] = None) -> dict:
+def _timings(t0: float, ring: Optional[JacobianRing] = None) -> dict:
     out = {"total": round((time.perf_counter() - t0) * 1000, 3)}
-    if cache is not None:
-        out["cache_hits"] = cache.hits
     if ring is not None:
         out["stages"] = ring.stages()
     return out
@@ -197,8 +127,8 @@ def _timings(t0: float, cache: Optional[RankCache],
 
 class FormRun:
     """The steps every form command shares: field, form and input
-    description, the prime-versus-degree check, the ring with its rank
-    cache, and the report envelope with timings.  A command adds only its
+    description, the prime-versus-degree check, the ring, and the report
+    envelope with timings and the ring's stages.  A command adds only its
     computation and the verdict fields and text lines it renders."""
 
     def __init__(self, args):
@@ -206,8 +136,6 @@ class FormRun:
         self.args = args
         self.form, self.input = load_input_form(args, make_field(args))
         check_prime_exceeds_degree(args.prime, self.form.degree)
-        self.fingerprint = form_fingerprint(self.form)
-        self.cache = RankCache(args.cache) if args.cache else None
         self.ring: Optional[JacobianRing] = None
 
     def open_ring(self) -> JacobianRing:
@@ -215,16 +143,12 @@ class FormRun:
             raise CliError(f"a Jacobian ring needs degree >= 2, the form has "
                            f"degree {self.form.degree}")
         self.ring = JacobianRing(self.form)
-        if self.cache:
-            self.cache.preload(self.ring, self.fingerprint)
         return self.ring
 
     def finish(self, code: int, fields: dict, text_lines: list[str]) -> int:
-        if self.cache and self.ring:
-            self.cache.store(self.ring, self.fingerprint)
         report = {"command": self.args.command, "input": self.input,
                   "config": _config(self.args), **fields,
-                  "timings_ms": _timings(self.t0, self.cache, self.ring)}
+                  "timings_ms": _timings(self.t0, self.ring)}
         emit(report, self.args.fmt, text_lines)
         return code
 
@@ -336,7 +260,7 @@ def cmd_rank_oracle(args) -> int:
         "config": _config(args),
         "verdict": verdict, "dims": [mat.nrows, mat.ncols],
         "rank": sparse_rank, "detail": {"oracle_rank": oracle_rank},
-        "timings_ms": _timings(t0, None),
+        "timings_ms": _timings(t0),
     }
     lines = [f"rank-oracle: {mat.nrows}x{mat.ncols} mod {mat.p}",
              f"echelon rank = {sparse_rank}, oracle rank = {oracle_rank}",
@@ -352,8 +276,6 @@ def _add_common(sub: argparse.ArgumentParser, with_form: bool = True) -> None:
     sub.add_argument("--trials", type=int, default=3)
     sub.add_argument("--format", dest="fmt", choices=["text", "json"],
                      default="text")
-    sub.add_argument("--cache", type=Path, default=None,
-                     help="JSON-lines rank cache file")
     if with_form:
         sub.add_argument("form_file", nargs="?",
                          help="file containing one form in the input grammar")
@@ -393,7 +315,7 @@ def main(argv=None) -> int:
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
         return args.func(args)
-    except (CliError, CharacteristicError, DimConflict) as exc:
+    except (CliError, CharacteristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PolyError as exc:

@@ -619,10 +619,6 @@ def rref(mat: FieldMatrix) -> EchelonResult:
     return _rref_rowinsert(mat)
 
 
-def rank(mat: FieldMatrix) -> int:
-    return rref(mat).rank
-
-
 def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Optional[list[int]]:
     """A verified nonzero kernel vector, or None when columns are independent.
 

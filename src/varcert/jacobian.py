@@ -60,11 +60,6 @@ class HilbertMismatch(Exception):
     complete-intersection series; indicates an internal arithmetic bug."""
 
 
-class DimConflict(Exception):
-    """Two values for one graded dimension disagree: an installed one and
-    the one the echelon of the same degree gives, or two cached ones."""
-
-
 def _comb0(m: int, k: int) -> int:
     return math.comb(m, k) if m >= k >= 0 else 0
 
@@ -164,7 +159,6 @@ class JacobianRing:
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
-        self._installed: dict[int, int] = {}
         self._ech: dict[int, EchelonResult] = {}
         self._stages: dict[int, dict] = {}
         self._smooth: bool | None = None
@@ -197,9 +191,9 @@ class JacobianRing:
 
     def echelon(self, p: int) -> EchelonResult:
         """Reduced echelon form of the degree-p ideal matrix, computed once
-        and kept; raises DimConflict when it contradicts an installed dim.
-        It comes from the relations of degree p-1 when they are narrower
-        than the degree-p ideal matrix, otherwise from that matrix."""
+        and kept; it is the only source of dim R_p.  It comes from the
+        relations of degree p-1 when they are narrower than the degree-p
+        ideal matrix, otherwise from that matrix."""
         if p not in self._ech:
             self._check_columns(p)
             relation = self._relation_route(p - 1)
@@ -211,16 +205,11 @@ class JacobianRing:
                 mat = self.ideal_matrix(p)
                 e = rref(mat)
                 rank = e.rank
-            dim = e.ncols - e.rank
-            if self._installed.get(p, dim) != dim:
-                raise DimConflict(
-                    f"degree {p}: cached dim {self._installed[p]} but "
-                    f"elimination gives {dim}")
             self._ech[p] = e
             self._stages[p] = {
                 "degree": p, "route": "relation" if relation else "ideal",
                 "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
-                "rank": rank, "dim": dim,
+                "rank": rank, "dim": e.ncols - e.rank,
                 "ms": round((time.perf_counter() - t0) * 1000, 3)}
         return self._ech[p]
 
@@ -316,12 +305,10 @@ class JacobianRing:
         return EchelonResult(prime, cols, pivots, np.ascontiguousarray(block)), er.rank
 
     def graded_dim(self, p: int) -> int:
-        """dim R_p: an installed dim if there is one, otherwise read off
-        echelon(p), which is kept for later use; 0 in negative degree."""
+        """dim R_p, read off echelon(p), which is kept for later use; 0 in
+        negative degree."""
         if p < 0:
             return 0
-        if p in self._installed:
-            return self._installed[p]
         e = self.echelon(p)
         return e.ncols - e.rank
 
@@ -334,29 +321,15 @@ class JacobianRing:
         mons = enumerate_monomials(self.n, p)
         return tuple(mons[j] for j in e.free_columns())
 
-    def set_dim(self, p: int, dim: int) -> None:
-        """Install an externally cached dimension (trusted, e.g. from a
-        previous run at the same prime) that spares eliminating degree p."""
-        self._installed[p] = dim
-
     def known_dims(self) -> dict[int, int]:
-        return {**self.computed_dims(), **self._installed}
-
-    def computed_dims(self) -> dict[int, int]:
-        """Dims this ring eliminated itself, without the installed ones."""
-        return {p: e.ncols - e.rank for p, e in self._ech.items()
-                if p not in self._installed}
+        """The dims of the degrees whose echelon this ring has computed."""
+        return {p: e.ncols - e.rank for p, e in self._ech.items()}
 
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
-        ("ideal", "relation", or "installed" for a dim installed and never
-        eliminated), the shape of the matrix eliminated, the rows its engine
-        read, its rank, the dim and the wall time in ms."""
-        out = dict(self._stages)
-        for p, dim in self._installed.items():
-            out.setdefault(p, {"degree": p, "route": "installed", "shape": None,
-                               "rows_read": 0, "rank": None, "dim": dim, "ms": 0.0})
-        return [out[p] for p in sorted(out)]
+        ("ideal" or "relation"), the shape of the matrix eliminated, the rows
+        its engine read, its rank, the dim and the wall time in ms."""
+        return [self._stages[p] for p in sorted(self._stages)]
 
     def certify_smooth(self) -> bool:
         """True when the piece past the socle vanishes, which proves the
