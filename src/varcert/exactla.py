@@ -1,47 +1,27 @@
-"""Exact row reduction and rank certificates over Z/p.
+"""Exact row reduction and rank certificates over Z/p, p < 2^63.
 
-Two elimination backends sit behind rref(), chosen by modulus size:
-
-  p <= 2^23        blocked float64 Gauss-Jordan; BLAS does the trailing
-                   updates.  Exact because every intermediate is an
-                   integer of magnitude below 2^53 (products < (p-1)^2 <
-                   2^46; GEMM inner dimension and panel width capped so
-                   accumulated sums and delayed reductions stay below
-                   2^53).
-  2^23 < p < 2^63  Gauss-Jordan by row insertion on a uint64 block of pivot
-                   rows, vectorized with numpy.  Products use Shoup's
-                   precomputed-quotient multiplication: its remainder before
-                   the one correction lies in [0, 2p), which fits in 64 bits
-                   exactly when p < 2^63.  Column sums are split at bit 31 so
-                   they cannot wrap, and are reduced once.  Rows stop being
-                   read once the rank reaches the matrix's rank bound (its
-                   column count unless the caller proved a smaller one).
-
-Both read rows only as numpy CSR arrays, through FieldMatrix.csr, and both
-produce the same object: the reduced row echelon form, which is unique, so
-pivot columns and quotient coordinates do not depend on the backend or on
-row order.  It is kept as one rank x free-columns int64 block, and blocks
-are multiplied by one exact product per tier (matmul_modp).
+rref() is one batched Gauss-Jordan for every prime, and matmul_modp() the
+one exact product it and its callers use: float64 GEMMs of 21-bit limbs,
+recombined with Shoup's precomputed-quotient products.  The reduced row
+echelon form is unique, so pivot columns and quotient coordinates do not
+depend on row order; it is kept as one rank x free-columns int64 block.
 dense_rank_oracle() is a deliberately separate textbook elimination used
 only to cross-check ranks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-FLOAT_TIER_MAX = 1 << 23
 INT64_TIER_MAX = 1 << 31
 ORACLE_CELL_LIMIT = 10 ** 7
-ENGINE_BYTES_LIMIT = 1 << 30  # largest array footprint either engine allocates
-_COMPACT_EVERY = 16
-_CHUNK = 8192  # elements per numpy temporary in the row-insertion engine
-_ROWS_PER_READ = 32  # rows per FieldMatrix.csr call when streaming rows
-_PANEL = 64
+ENGINE_BYTES_LIMIT = 1 << 30  # largest pivot block rref allocates
+_CHUNK = 1 << 13  # cells per temporary in products and block slices
+_ROWS_PER_READ = 32  # rows per FieldMatrix.csr call: rref's batch
+_LIMB = 21  # bits per limb in matmul_modp
 
 
 class SizeGuardExceeded(Exception):
@@ -65,19 +45,13 @@ class RowArrays:
         raise NotImplementedError
 
     def __iter__(self):
-        for cols, vals in _row_arrays(self.csr, len(self)):
-            yield dict(zip(cols.tolist(), vals.tolist()))
-
-
-def _row_arrays(csr, nrows: int):
-    """(columns, values) of each row in order, read through csr(lo, hi) a
-    block of rows at a time, so rows built on demand are never all in
-    memory."""
-    for lo in range(0, nrows, _ROWS_PER_READ):
-        indptr, cols, vals = csr(lo, min(lo + _ROWS_PER_READ, nrows))
-        ip = indptr.tolist()
-        for s, e in zip(ip, ip[1:]):
-            yield cols[s:e], vals[s:e]
+        # a block of rows at a time, so rows built on demand are never all
+        # in memory
+        for lo in range(0, len(self), _ROWS_PER_READ):
+            indptr, cols, vals = self.csr(lo, min(lo + _ROWS_PER_READ, len(self)))
+            ip = indptr.tolist()
+            for s, e in zip(ip, ip[1:]):
+                yield dict(zip(cols[s:e].tolist(), vals[s:e].tolist()))
 
 
 class CsrRows(RowArrays):
@@ -118,10 +92,10 @@ class FieldMatrix:
     """Sparse rows over Z/p: each row maps column index to a value in [1, p).
     rows may be any collection of nrows rows that can be iterated more than
     once, such as one that builds them on the fly; a RowArrays also hands
-    the engines its rows as numpy arrays directly.
+    rref its rows as numpy arrays directly.
 
-    rank_bound, when given, must be a proven upper bound on the rank: an
-    engine may stop reading rows once it reaches it.  rows_read counts the
+    rank_bound, when given, must be a proven upper bound on the rank: rref
+    stops reading rows once it reaches it.  rows_read counts the
     leading rows handed out through csr()."""
 
     p: int
@@ -162,7 +136,7 @@ class FieldMatrix:
             hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows lo..hi-1 (all by default) as numpy CSR arrays: indptr
         starting at 0, intp column indices, int64 values in [0, p).  The
-        one way the engines read rows; dict rows are converted on the first
+        one way rref reads rows; dict rows are converted on the first
         call and the arrays kept."""
         if self._arrays is None:
             self._arrays = (self.rows if isinstance(self.rows, RowArrays)
@@ -255,152 +229,46 @@ class EchelonResult:
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 arrays with entries in [0, p): in
-    float64 for p <= FLOAT_TIER_MAX, in _Zp64 arithmetic above."""
-    if p <= FLOAT_TIER_MAX:
-        return _matmul_modp(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
-    return _Zp64(p).matmul(a.view(np.uint64), b.view(np.uint64)).view(np.int64)
+    """Exact (a @ b) mod p, p < 2^63, for int64 or uint64 arrays with
+    entries in [0, p); the result has a's dtype.
+
+    Residues are split into the fewest 21-bit limbs that hold p - 1 (Ozaki
+    et al. 2012).  Limb products are below 2^42, and the inner index is
+    taken kc at a time so that the up to nl GEMMs at one limb position s
+    sum below 2^53, exactly.  Those sums are recombined by Horner's rule in
+    Shoup products by 2^21 mod p and reduced once (delayed reduction,
+    Dumas-Giorgi-Pernet 2008), a few rows at a time."""
+    (m, k), w = a.shape, b.shape[1]
+    nl = max(1, -(-(p - 1).bit_length() // _LIMB))
+    top = min(p - 1, (1 << _LIMB) - 1)  # the largest limb
+    kc = max(1, ((1 << 53) - 1) // (nl * top * top))
+    mb = max(1, _CHUNK // max(1, w))
+    zp, shift = _Zp64(p), (1 << _LIMB) % p
+    shift, shiftpre = np.uint64(shift), np.uint64((shift << 64) // p)
+    out = np.zeros((m, w), dtype=np.uint64)
+    for lo in range(0, k, kc):
+        bl = _limbs(b[lo:lo + kc], nl)
+        for r in range(0, m, mb):
+            al = _limbs(a[r:r + mb, lo:lo + kc], nl)
+            acc = None
+            for s in reversed(range(2 * nl - 1)):
+                t = sum(al[i] @ bl[s - i] for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1))
+                t = t.astype(np.uint64)
+                # a Shoup product is below p, so adding t < 2^53 cannot wrap
+                acc = t if acc is None else zp.mul(acc, shift, shiftpre) + t
+            out[r:r + mb] = zp.add(out[r:r + mb], acc % zp.p)
+    return out.view(a.dtype)
 
 
-def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for float64 arrays with entries in [0, p), p <= 2^23."""
-    k = a.shape[1]
-    cap = (1 << 53) // ((p - 1) * (p - 1)) if p > 1 else k
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]))
-    if k <= cap:
-        return np.mod(a @ b, p)
-    acc = np.zeros((a.shape[0], b.shape[1]))
-    for s in range(0, k, cap):
-        acc += np.mod(a[:, s:s + cap] @ b[s:s + cap], p)
-    return np.mod(acc, p)
-
-
-def _inv_modp_dense(b: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an invertible m x m float64 matrix over Z/p by Gauss-Jordan.
-
-    Reductions are delayed as in _panel_discovery: a step reduces only the
-    scanned column and the pivot row, and leaves its outer-product update
-    unreduced.  An entry then carries at most m-1 unreduced updates, each
-    below (p-1)^2, on top of a value below p, so every entry stays below
-    p + m(p-1)^2 in magnitude.  The caller keeps m <= panel_cap, which
-    bounds that by 2^53, so every float64 value is an exact integer; one
-    np.mod at the end gives the residues.  Columns left of the scanned one
-    are never read again and are not updated."""
-    m = b.shape[0]
-    aug = np.concatenate([np.mod(b, p), np.eye(m)], axis=1)
-    for j in range(m):
-        colv = np.mod(aug[:, j], p)
-        t = j + int(np.flatnonzero(colv[j:])[0])
-        if t != j:
-            aug[[j, t]] = aug[[t, j]]
-            colv[[j, t]] = colv[[t, j]]
-        inv = pow(int(colv[j]), p - 2, p)
-        aug[j, j:] = np.mod(np.mod(aug[j, j:], p) * inv, p)
-        colv[j] = 0
-        aug[:, j:] -= colv[:, None] * aug[j, j:]
-    return np.mod(aug[:, m:], p)
-
-
-def _panel_discovery(panel: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Forward elimination on a scratch panel; returns the panel-relative
-    pivot columns and the row permutation (pivot rows first, in order).
-
-    Reductions are deferred: rows accumulate unreduced values and only the
-    scanned column is taken mod p, which keeps every entry in the panel
-    below (p-1) + bw*(p-1)^2 <= 2^53 in magnitude (bw is capped for that)."""
-    m, bw = panel.shape
-    ids = np.arange(m)
-    pos = 0
-    lc: list[int] = []
-    for j in range(bw):
-        if pos == m:
-            break
-        colv = np.mod(panel[pos:, j], p)
-        nz = np.nonzero(colv)[0]
-        if nz.size == 0:
-            continue
-        t = int(nz[0])
-        if t != 0:
-            panel[[pos, pos + t]] = panel[[pos + t, pos]]
-            ids[[pos, pos + t]] = ids[[pos + t, pos]]
-            colv[[0, t]] = colv[[t, 0]]
-        inv = pow(int(colv[0]), p - 2, p)
-        pivrow = np.mod(np.mod(panel[pos, j + 1:], p) * inv, p)
-        if pos + 1 < m:
-            panel[pos + 1:, j + 1:] -= np.outer(colv[1:], pivrow)
-        lc.append(j)
-        pos += 1
-    return lc, ids
-
-
-def _rref_float_blocked(mat: FieldMatrix) -> EchelonResult:
-    """Left-looking blocked Gauss-Jordan in exact float64 arithmetic.
-
-    Relies on the identity-on-pivot-columns shape of the reduced echelon
-    form: the current value of any unreduced row is orig - orig[pivcols] @ R,
-    so panels are brought up to date with one GEMM and only the (rank x c)
-    array of reduced rows is ever updated in place.
-
-    Refuses with SizeGuardExceeded, before allocating, a matrix whose dense
-    copy, reduced-row buffer and gathered pivot columns (r x c, rank x c
-    and r x rank float64 arrays) would exceed ENGINE_BYTES_LIMIT."""
-    p = mat.p
-    r, c = mat.nrows, mat.ncols
-    maxrank = min(r, c)
-    need = 8 * (r * c + maxrank * c + r * maxrank)
-    if need > ENGINE_BYTES_LIMIT:
-        raise SizeGuardExceeded(
-            f"float tier needs {need} bytes for {r}x{c}, over the "
-            f"{ENGINE_BYTES_LIMIT} limit")
-    orig = mat.to_dense(np.float64)
-    rbuf = np.zeros((maxrank, c))
-    pivots: list[int] = []
-    npiv = 0
-    live = np.arange(r)
-    panel_cap = max(1, min(_PANEL, ((1 << 53) - p) // ((p - 1) * (p - 1))))
-    col = 0
-    while col < c and live.size:
-        hi = min(col + panel_cap, c)
-        pc = np.array(pivots, dtype=np.intp)
-        panel = orig[live, col:hi]
-        if npiv:
-            panel = np.mod(panel - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv, col:hi], p), p)
-        lc, ids = _panel_discovery(panel, p)
-        b = len(lc)
-        if b:
-            newrows = live[ids[:b]]
-            newcols = [col + j for j in lc]
-            cur = orig[newrows, col:]
-            if npiv:
-                cur = np.mod(cur - _matmul_modp(orig[np.ix_(newrows, pc)], rbuf[:npiv, col:], p), p)
-            bpp = cur[:, [j - col for j in newcols]]
-            u = _inv_modp_dense(bpp, p)
-            newr = _matmul_modp(u, cur, p)
-            if npiv:
-                g = rbuf[:npiv, newcols]
-                rbuf[:npiv, col:] = np.mod(rbuf[:npiv, col:] - _matmul_modp(g, newr, p), p)
-            rbuf[npiv:npiv + b, col:] = newr
-            pivots.extend(newcols)
-            npiv += b
-            live = live[np.sort(ids[b:])]
-        col = hi
-    if live.size:
-        # every undrafted row must reduce to zero against the final rows
-        residue = orig[live]
-        if npiv:
-            pc = np.array(pivots, dtype=np.intp)
-            residue = np.mod(residue - _matmul_modp(orig[np.ix_(live, pc)], rbuf[:npiv], p), p)
-        if np.any(residue):
-            raise AssertionError("nonzero residue after elimination; arithmetic bug")
-    return EchelonResult(p, c, tuple(pivots),
-                         np.delete(rbuf[:npiv], pivots, axis=1).astype(np.int64))
+def _limbs(x: np.ndarray, nl: int) -> list[np.ndarray]:
+    """The nl 21-bit limbs of x's entries, least significant first, as
+    float64 arrays."""
+    return [((x >> (_LIMB * i)) & ((1 << _LIMB) - 1)).astype(np.float64) for i in range(nl)]
 
 
 _M32 = np.uint64(0xFFFFFFFF)
-_M31 = np.uint64(0x7FFFFFFF)
 _S32 = np.uint64(32)
-_S31 = np.uint64(31)
+_WORD = np.uint64(1 << 32)
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -409,9 +277,18 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (2^32-1)^2 = 2^64 - 2^33 + 1, so one 32-bit carry still fits."""
     a0, a1 = a & _M32, a >> _S32
     b0, b1 = b & _M32, b >> _S32
-    t = a1 * b0 + ((a0 * b0) >> _S32)
-    u = a0 * b1 + (t & _M32)
-    return a1 * b1 + (t >> _S32) + (u >> _S32)
+    # in-place steps keep temporaries, and so time and peak memory, down
+    t = a1 * b0
+    u = a0 * b0
+    u >>= _S32
+    t += u
+    u = a0 * b1
+    u += t & _M32
+    t >>= _S32
+    u >>= _S32
+    t += u
+    t += a1 * b1
+    return t
 
 
 class _Zp64:
@@ -421,7 +298,8 @@ class _Zp64:
     w' = floor(w 2^64 / p), any a < 2^64 gives q = mulhi(a, w') within one
     of floor(a w / p), so r = a w - q p, computed mod 2^64, lies in [0, 2p)
     and one conditional subtraction of p makes it exact.  2p < 2^64 is what
-    needs p < 2^63."""
+    needs p < 2^63.  Below 2^32 a product of residues fits in 64 bits and
+    mulmod reduces it directly."""
 
     def __init__(self, p: int):
         if p >= 1 << 63:
@@ -433,8 +311,6 @@ class _Zp64:
         r0 = (1 << 64) % p
         self._r0 = np.uint64(r0)
         self._r0pre = np.uint64((r0 << 64) // p)
-        self._two31 = np.uint64((1 << 31) % p)
-        self._two31pre = np.uint64((((1 << 31) % p) << 64) // p)
 
     def pre(self, w: np.ndarray) -> np.ndarray:
         """Shoup quotients floor(w 2^64 / p) for entries w < p."""
@@ -445,178 +321,177 @@ class _Zp64:
 
     def mul(self, a: np.ndarray, w: np.ndarray, wpre: np.ndarray) -> np.ndarray:
         """a*w mod p for any uint64 a and w < p with wpre = pre(w)."""
-        r = a * w - _mulhi(a, wpre) * self.p
-        return np.minimum(r, r - self.p)
+        q = _mulhi(a, wpre)
+        q *= self.p
+        r = a * w
+        r -= q
+        return np.minimum(r, r - self.p, out=r)
+
+    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b mod p for arrays of residues a and b (b the smaller)."""
+        if self.p < _WORD:
+            return a * b % self.p
+        return self.mul(a, b, self.pre(b))
 
     def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = x + y
-        return np.minimum(s, s - self.p)
+        return np.minimum(s, s - self.p, out=s)
 
-    def colsum(self, terms: np.ndarray) -> np.ndarray:
-        """Column sums mod p of a (k, w) array with entries < p.  Each
-        entry is split at bit 31 and both halves are summed exactly, so one
-        reduction per column replaces k modular additions."""
-        lo = (terms & _M31).sum(axis=0, dtype=np.uint64)
-        hi = (terms >> _S31).sum(axis=0, dtype=np.uint64)
-        return self._recombine(lo, hi)
-
-    def _recombine(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(hi 2^31 + lo) mod p for any uint64 lo and hi."""
-        return self.add(self.mul(hi, self._two31, self._two31pre), lo % self.p)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a @ b) mod p for uint64 arrays with entries < p.  Each column of
-        a is multiplied into the matching row of b with Shoup's product
-        (b's quotients are computed once), and the terms are summed in
-        halves split at bit 31 as in colsum: a half is below 2^32, so sums
-        of fewer than 2^32 terms cannot wrap.  Inner indices are taken a
-        chunk at a time, keeping temporaries near _CHUNK elements."""
-        m, k = a.shape
-        w = b.shape[1]
-        bpre = self.pre(b)
-        lo = np.zeros((m, w), dtype=np.uint64)
-        hi = np.zeros((m, w), dtype=np.uint64)
-        step = max(1, _CHUNK // max(1, m * w))
-        for s in range(0, k, step):
-            t = self.mul(a[:, s:s + step, None], b[None, s:s + step], bpre[None, s:s + step])
-            lo += (t & _M31).sum(axis=1, dtype=np.uint64)
-            hi += (t >> _S31).sum(axis=1, dtype=np.uint64)
-        return self._recombine(lo, hi)
+    def sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        s = x - y
+        return np.minimum(s, s + self.p, out=s)
 
 
-def _block_cells(maxrank: int, ncols: int) -> int:
-    """Most uint64 cells the row-insertion block can hold at once.  With t
-    pivot rows stored the width is at most ncols - t + _COMPACT_EVERY (free
-    columns plus pivot columns not yet compacted away), and t rises to at
-    most maxrank; t times that width peaks at t = (ncols + _COMPACT_EVERY)
-    / 2."""
-    def cells(t: int) -> int:
-        return t * min(ncols, ncols + _COMPACT_EVERY - t)
+class _PivotRows:
+    """The rows of a partial reduced echelon form at their free columns:
+    with r rows found, an r x (ncols - r) uint64 block at the start of one
+    flat buffer, columns in matrix order, rows in the order found."""
 
-    t = min(maxrank, (ncols + _COMPACT_EVERY) // 2)
-    return max(cells(t), cells(min(maxrank, t + 1)))
+    def __init__(self, zp: _Zp64, ncols: int, cells: int):
+        self.zp = zp
+        self.buf = np.empty(cells, dtype=np.uint64)
+        self.free = np.arange(ncols)  # block column -> matrix column
+        self.at = np.arange(ncols)  # matrix column -> block column, or -1
+        self.rowof = np.full(ncols, -1, dtype=np.intp)  # pivot column -> block row
+        self.pivots: list[int] = []  # pivot column of each block row
+
+    @property
+    def block(self) -> np.ndarray:
+        r, w = len(self.pivots), self.free.size
+        return self.buf[:r * w].reshape(r, w)
+
+    def reduce(self, rix: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               nb: int) -> np.ndarray:
+        """The nb rows with entries vals at (rix, cols) reduced modulo the
+        pivot rows, at the free columns: x - coef @ block, over the block
+        rows coef touches, a few at a time, and their nonzero columns."""
+        x, coef = self._split(rix, cols, vals, nb)
+        touched = np.flatnonzero(coef.any(axis=0))
+        block, step = self.block, max(1, _CHUNK // max(1, self.free.size))
+        for s in range(0, touched.size, step):
+            t = touched[s:s + step]
+            b = block[t] if t.size < block.shape[0] else block
+            nzc = np.flatnonzero(b.any(axis=0))
+            if nzc.size == b.shape[1]:  # slices, not copies
+                nzc = slice(None)
+            x[:, nzc] = self.zp.sub(x[:, nzc], matmul_modp(coef[:, t], b[:, nzc],
+                                                           int(self.zp.p)))
+        return x
+
+    def _split(self, rix: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               nb: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' entries at the free and at the pivot columns."""
+        at = self.at[cols]
+        infree = at >= 0
+        x = np.zeros((nb, self.free.size), dtype=np.uint64)
+        x[rix[infree], at[infree]] = vals[infree]
+        coef = np.zeros((nb, len(self.pivots)), dtype=np.uint64)
+        coef[rix[~infree], self.rowof[cols[~infree]]] = vals[~infree]
+        return x, coef
+
+    def insert(self, lead: list[int], new: np.ndarray) -> None:
+        """Add the reduced rows new, with pivots at block columns lead: clear
+        those columns with one product, block -= block[:, lead] @ new (a few
+        rows at a time, where it can be nonzero), then drop them in place."""
+        r, w, k = len(self.pivots), self.free.size, len(lead)
+        block = self.block
+        g = block[:, lead]
+        hit = np.flatnonzero(g.any(axis=1))
+        nzc = np.flatnonzero(new.any(axis=0))
+        step = max(1, _CHUNK // max(1, nzc.size))
+        for a in range(0, hit.size, step):
+            at = np.ix_(hit[a:a + step], nzc)
+            block[at] = self.zp.sub(block[at], matmul_modp(g[hit[a:a + step]], new[:, nzc],
+                                                           int(self.zp.p)))
+        step = max(1, _CHUNK // w)
+        keep = np.delete(np.arange(w), lead)
+        w2 = keep.size
+        # row i moves from offset i*w to i*w2 <= i*w, so a chunk never
+        # overwrites rows that later chunks still have to read
+        for a in range(0, r, step):
+            b = min(r, a + step)
+            self.buf[a * w2:b * w2] = self.buf[a * w:b * w].reshape(b - a, w)[:, keep].ravel()
+        self.buf[r * w2:(r + k) * w2] = new[:, keep].ravel()
+        found = self.free[lead]
+        self.rowof[found] = np.arange(r, r + k)
+        self.pivots.extend(found.tolist())
+        self.free = self.free[keep]
+        self.at[:] = -1
+        self.at[self.free] = np.arange(w2)
 
 
-def _rref_rowinsert(mat: FieldMatrix) -> EchelonResult:
-    """Gauss-Jordan by row insertion for FLOAT_TIER_MAX < p < 2^63.
-
-    Each incoming row is reduced in one pass against the fully reduced
-    pivot rows (eliminating one pivot column never disturbs another),
-    normalized, and back-substituted into the pivot rows; both steps are
-    outer products in _Zp64 arithmetic.  The pivot rows live in one uint64
-    block preallocated at its largest size, whose columns are the free
-    columns plus the pivot columns found since the last compaction; on
-    those the block holds the identity, so one subtraction clears them.
-    Rows stop being read once the rank reaches the matrix's rank bound (at
-    most ncols): the pivot rows then span the whole row space, so every
-    later row lies in their span."""
-    p, c = mat.p, mat.ncols
-    maxrank = min(mat.nrows, c if mat.rank_bound is None else mat.rank_bound)
-    cells = _block_cells(maxrank, c)
-    if cells * 8 > ENGINE_BYTES_LIMIT:
-        raise SizeGuardExceeded(
-            f"row-insertion block needs {cells * 8} bytes for "
-            f"{mat.nrows}x{c}, over the {ENGINE_BYTES_LIMIT} limit")
-    zp = _Zp64(p)
-    buf = np.empty(cells, dtype=np.uint64)
-    frame = np.arange(c)                # block column -> matrix column
-    pos = np.arange(c)                  # matrix column -> block column, or -1
-    rowof = np.full(c, -1, dtype=np.intp)  # pivot column -> block row, or -1
-    pivcols: list[int] = []
-    r, w = 0, c
-    for cols, vals in _row_arrays(mat.csr, mat.nrows):
-        if not cols.size:
-            continue
-        vals = vals.view(np.uint64)
-        x = np.zeros(w, dtype=np.uint64)
-        at = pos[cols]
-        inframe = at >= 0
-        x[at[inframe]] = vals[inframe]
-        ks = rowof[cols]
-        hit = (ks >= 0) & (vals != 0)
-        if hit.any():
-            _reduce_into(zp, buf[:r * w].reshape(r, w), ks[hit], vals[hit], x)
-        nz = np.flatnonzero(x)
+def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Bring the rows of the uint64 array y to reduced echelon form; returns
+    the pivot column of each nonzero row and those rows.  A pivot row clears
+    its column unnormalized, with factors scaled by its pivot's inverse;
+    later pivots leave that entry alone, so rows are normalized at the end."""
+    p = int(zp.p)
+    lead, rows, invs = [], [], []
+    for i in range(y.shape[0]):
+        nz = np.flatnonzero(y[i])
         if not nz.size:
             continue
-        inv = pow(int(x[nz[0]]), p - 2, p)
-        v = zp.mul(x[nz], np.uint64(inv), np.uint64((inv << 64) // p))
-        if r:
-            _backsubstitute(zp, buf[:r * w].reshape(r, w), nz, v)
-        row = buf[r * w:(r + 1) * w]
-        row[:] = 0
-        row[nz] = v
-        lead = int(frame[nz[0]])
-        rowof[lead] = r
-        pivcols.append(lead)
-        r += 1
-        if r == maxrank:
-            break
-        if r % _COMPACT_EVERY == 0:
-            frame, w = _compact(buf, r, w, frame, rowof)
-            pos[:] = -1
-            pos[frame] = np.arange(w)
-    # after the last compaction the block's columns are the free columns,
-    # in order; its rows are put in pivot order
-    _, w = _compact(buf, r, w, frame, rowof)
-    block = buf[:r * w].reshape(r, w)[np.argsort(pivcols)]
-    return EchelonResult(p, c, tuple(sorted(pivcols)), block.view(np.int64))
-
-
-def _reduce_into(zp: _Zp64, block: np.ndarray, ks: np.ndarray, f: np.ndarray,
-                 x: np.ndarray) -> None:
-    """x -= f @ block[ks] mod p, touching only columns where block[ks] is
-    nonzero."""
-    negf = (zp.p - f)[:, None]
-    negpre = zp.pre(negf)
-    step = max(1, _CHUNK // len(ks))
-    for a in range(0, block.shape[1], step):
-        sub = block[ks, a:a + step]
-        nzc = np.flatnonzero(sub.any(axis=0))
-        if nzc.size:
-            t = zp.mul(sub[:, nzc], negf, negpre)
-            at = nzc + a
-            x[at] = zp.add(x[at], zp.colsum(t))
-
-
-def _backsubstitute(zp: _Zp64, block: np.ndarray, nz: np.ndarray, v: np.ndarray) -> None:
-    """Clear column nz[0] of every pivot row with the new normalized row
-    whose nonzeros are v at block columns nz: block -= g (x) v."""
-    g = block[:, nz[0]]
-    rows = np.flatnonzero(g)
-    if not rows.size:
-        return
-    negv = zp.p - v
-    negpre = zp.pre(negv)
-    step = max(1, _CHUNK // nz.size)
-    for a in range(0, rows.size, step):
-        ix = np.ix_(rows[a:a + step], nz)
-        block[ix] = zp.add(block[ix], zp.mul(g[rows[a:a + step], None], negv, negpre))
-
-
-def _compact(buf: np.ndarray, r: int, w: int, frame: np.ndarray,
-             rowof: np.ndarray) -> tuple[np.ndarray, int]:
-    """Drop the pivot columns from the r x w block in buf, in place, a few
-    rows at a time; returns the new frame and width."""
-    keep = np.flatnonzero(rowof[frame] < 0)
-    w2 = keep.size
-    if w2 == w:
-        return frame, w
-    step = max(1, _CHUNK // w)
-    # row i moves from offset i*w to i*w2 <= i*w, so a chunk never
-    # overwrites rows that later chunks still have to read
-    for a in range(0, r, step):
-        b = min(r, a + step)
-        buf[a * w2:b * w2] = buf[a * w:b * w].reshape(b - a, w)[:, keep].ravel()
-    return frame[keep], w2
+        j = int(nz[0])
+        inv = pow(int(y[i, j]), -1, p)
+        f = y[:, j].tolist()
+        hit = [h for h, v in enumerate(f) if v and h != i]
+        if hit:
+            g = np.array([f[h] * inv % p for h in hit], dtype=np.uint64)[:, None]
+            step = max(1, _CHUNK // len(hit))
+            for a in range(j, y.shape[1], step):
+                y[hit, a:a + step] = zp.sub(y[hit, a:a + step],
+                                            zp.mulmod(y[i, a:a + step], g))
+        lead.append(j)
+        rows.append(i)
+        invs.append(inv)
+    new = y[rows]
+    at, invs = np.nonzero(new), np.array(invs, dtype=np.uint64)
+    for a in range(0, at[0].size, _CHUNK):
+        ix = at[0][a:a + _CHUNK], at[1][a:a + _CHUNK]
+        new[ix] = zp.mulmod(new[ix], invs[ix[0]])
+    return lead, new
 
 
 def rref(mat: FieldMatrix) -> EchelonResult:
-    if mat.nrows == 0 or mat.ncols == 0 or mat.rank_bound == 0:
-        return EchelonResult(mat.p, mat.ncols, (), np.zeros((0, mat.ncols), dtype=np.int64))
-    if mat.p <= FLOAT_TIER_MAX:
-        return _rref_float_blocked(mat)
-    return _rref_rowinsert(mat)
+    """The reduced row echelon form of mat, by batched Gauss-Jordan.
+
+    Rows are read _ROWS_PER_READ at a time through mat.csr, empty ones
+    dropped.  A batch is reduced modulo the pivot rows (one matmul_modp),
+    brought to reduced echelon form, and its pivots are back-substituted
+    into the pivot rows (one more).  Reduced again, the batch must vanish:
+    the row space only grows, so every row read lies in the final one.
+    Reading stops at the matrix's rank bound (at most ncols), where the
+    pivot rows span the row space.  A pivot block whose largest size, r x
+    (ncols - r), exceeds ENGINE_BYTES_LIMIT is refused before allocating."""
+    p, c = mat.p, mat.ncols
+    if mat.nrows == 0 or c == 0 or mat.rank_bound == 0:
+        return EchelonResult(p, c, (), np.zeros((0, c), dtype=np.int64))
+    maxrank = min(mat.nrows, c if mat.rank_bound is None else mat.rank_bound)
+    t = min(maxrank, c // 2)
+    cells = t * (c - t)
+    if cells * 8 > ENGINE_BYTES_LIMIT:
+        raise SizeGuardExceeded(
+            f"pivot block needs {cells * 8} bytes for {mat.nrows}x{c}, over "
+            f"the {ENGINE_BYTES_LIMIT} limit")
+    piv = _PivotRows(_Zp64(p), c, cells)
+    for lo in range(0, mat.nrows, _ROWS_PER_READ):
+        indptr, cols, vals = mat.csr(lo, min(lo + _ROWS_PER_READ, mat.nrows))
+        lens = np.diff(indptr)
+        nb = int(np.count_nonzero(lens))
+        rix = np.repeat(np.cumsum(lens > 0) - 1, lens)  # entry -> nonempty row
+        vals = vals.view(np.uint64)
+        lead, new = _gauss_jordan(piv.zp, piv.reduce(rix, cols, vals, nb))
+        if not lead:
+            continue
+        if len(piv.pivots) + len(lead) > maxrank:
+            raise AssertionError("rank above its proven bound; arithmetic bug")
+        piv.insert(lead, new)
+        if np.any(piv.reduce(rix, cols, vals, nb)):
+            raise AssertionError("nonzero residue after elimination; arithmetic bug")
+        if len(piv.pivots) == maxrank:
+            break
+    order = np.argsort(piv.pivots)
+    return EchelonResult(p, c, tuple(sorted(piv.pivots)), piv.block[order].view(np.int64))
 
 
 def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Optional[list[int]]:

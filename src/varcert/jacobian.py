@@ -122,8 +122,8 @@ class _RelationRows(RowArrays):
     pair of positions a = k * M + m, b = j * M + m' (M the number of
     degree-q monomials), with the normal forms nf of the degree-q monomials
     in a basis of R_q (f columns) at columns k*f.. and j*f...  Rows are
-    built on each request, so an engine that stops early never builds the
-    rest."""
+    built on each request, so the rows after rref's early stop are never
+    built."""
 
     def __init__(self, nf: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
         self._nf, self._a, self._b, self._p = nf, a, b, p
@@ -328,7 +328,7 @@ class JacobianRing:
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
         ("ideal" or "relation"), the shape of the matrix eliminated, the rows
-        its engine read, its rank, the dim and the wall time in ms."""
+        rref read, its rank, the dim and the wall time in ms."""
         return [self._stages[p] for p in sorted(self._stages)]
 
     def certify_smooth(self) -> bool:

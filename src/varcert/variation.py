@@ -233,19 +233,23 @@ def cor23_regression_suite(field, seed: int = 0, trials: int = 3,
         digest = hashlib.sha256(f"{seed}|cor23|{n}|{d}|{field.p}".encode()).digest()
         rng = random.Random(int.from_bytes(digest, "big"))
         for _ in range(forms_per_case):
-            form = _sample_smooth_form(n, d, field, rng)
+            form, ring = _sample_smooth_form(n, d, field, rng)
             rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form),
-                                      trials=trials, seed=seed)
+                                      trials=trials, seed=seed, ring=ring)
             results.append(CaseResult(case, n, d, form, rep))
     return results
 
 
-def _sample_smooth_form(n: int, d: int, field, rng, max_attempts: int = 50) -> HomogeneousForm:
+def _sample_smooth_form(n: int, d: int, field, rng,
+                        max_attempts: int = 50) -> tuple[HomogeneousForm, JacobianRing]:
+    """A random nonzero form certified smooth, with the ring that certified
+    it and the echelons it computed."""
     for _ in range(max_attempts):
         form = random_form(n, d, field, rng)
         if form.is_zero():
             continue
-        if JacobianRing(form).certify_smooth():
-            return form
+        ring = JacobianRing(form)
+        if ring.certify_smooth():
+            return form, ring
     raise RuntimeError(f"no smooth form found in {max_attempts} attempts at "
                        f"(n={n}, d={d}, p={field.p})")

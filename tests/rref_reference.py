@@ -1,7 +1,7 @@
 """Reference Gauss-Jordan over Z/p for the tests: sparse row dicts and
-Python integers, any modulus.  The uint64 row-insertion engine in exactla
-runs this algorithm with other storage and arithmetic, so both must return
-the same reduced echelon form."""
+Python integers, any modulus.  exactla.rref is a batched form of this
+algorithm with other storage and arithmetic; the reduced echelon form is
+unique, so both must return the same one."""
 
 import numpy as np
 

@@ -249,6 +249,28 @@ def test_hilbert_mismatch_exit_6(capsys, tmp_path, monkeypatch):
     assert err.startswith("internal error: HilbertMismatch") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("prime", [P, str((1 << 62) - 57)])
+def test_corrupted_product_exits_6(capsys, tmp_path, monkeypatch, prime):
+    # one wrong entry in every exact product must end the run as an internal
+    # error, at a small prime and at the default one alike
+    from varcert import exactla
+    exact = exactla.matmul_modp
+
+    def corrupted(a, b, q):
+        out = exact(a, b, q)
+        if out.size:
+            out.flat[0] = (int(out.flat[0]) + 1) % q
+        return out
+
+    monkeypatch.setattr(exactla, "matmul_modp", corrupted)
+    form = tmp_path / "quartic.txt"
+    form.write_text("x0^4 + 2*x0*x1^3 - x1^2*x2*x3 + x2^4 + 3*x2*x3^3 + x3^4 + x0*x1*x2*x3")
+    code, out, err = run(capsys, "hilbert", str(form), "--prime", prime)
+    assert code == 6 and out == ""
+    assert err.startswith("internal error: AssertionError: nonzero residue")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [("hilbert",), ("wlp",), ("maxvar", "hypersurface"),
                                      ("rank-oracle",)], ids=lambda c: c[0])
 def test_rank_cache_lines_are_not_accepted(capsys, tmp_path, command):

@@ -385,8 +385,8 @@ def test_column_limit_applies_to_relation_degrees(monkeypatch):
 
 
 def test_certify_smooth_past_the_desk_scale_budget():
-    # a seeded (5,4) form: the float tier would need 1.5 GB for its
-    # 12012 x 6188 socle ideal matrix; the chain eliminates ideal matrices
+    # a seeded (5,4) form: a dense copy of its 12012 x 6188 socle ideal
+    # matrix would take 595 MB; the chain eliminates ideal matrices
     # up to degree 7 only, and relation matrices at most 756 columns wide
     ring = route_ring(5, 4, None, F.p)
     assert ring.certify_smooth()

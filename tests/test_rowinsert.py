@@ -1,7 +1,7 @@
-"""The uint64 row-insertion engine for primes above 2^23: its Shoup
-arithmetic and block product, exactness at the tier-boundary primes against
-the sparse reference, its stop at the rank bound, its pre-flight size guard
-and its memory budget."""
+"""rref's batched elimination and its exact product: Shoup arithmetic, the
+limb-split product, exactness at the limb- and word-boundary primes against
+the sparse reference, the stop at the rank bound, the pre-flight size guard,
+the residual check and the memory budget."""
 
 import random
 import tracemalloc
@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from rref_reference import rref_sparse
+from varcert import exactla
 from varcert.exactla import (
     _CHUNK,
     _ROWS_PER_READ,
-    FLOAT_TIER_MAX,
     CsrRows,
     EchelonResult,
     FieldMatrix,
@@ -27,8 +27,11 @@ from varcert.jacobian import JacobianRing
 from varcert.polyring import HomogeneousForm, PrimeField, enumerate_monomials
 
 P62 = (1 << 62) - 57
-# 8388593 is the last prime below 2^23 (float tier), 8388617 the first above
-BOUNDARY_PRIMES = [8388593, 8388617, (1 << 31) - 1, (1 << 61) - 1, P62]
+# the primes on either side of 2^21 and 2^42, where residues take one more
+# 21-bit limb in matmul_modp, of 2^23, and of 2^32, where products of
+# residues stop fitting in 64 bits
+BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, (1 << 31) - 1, 4398046511093,
+                   4398046511119, (1 << 61) - 1, P62]
 
 
 def seeded_ring(n, d, prime, seed):
@@ -48,7 +51,7 @@ def assert_same_echelon(mat):
     return got
 
 
-@pytest.mark.parametrize("p", [8388617, (1 << 31) - 1, P62, (1 << 63) - 25])
+@pytest.mark.parametrize("p", [8388617, (1 << 31) - 1, (1 << 32) + 15, P62, (1 << 63) - 25])
 def test_shoup_mulmod_and_split_sum_match_python_ints(p):
     zp = _Zp64(p)
     rng = random.Random(p)
@@ -59,12 +62,16 @@ def test_shoup_mulmod_and_split_sum_match_python_ints(p):
     a = np.array(vals + [(1 << 64) - 1, 1 << 63], dtype=np.uint64)
     prod = zp.mul(a[:, None], w[None, :], zp.pre(w)[None, :])
     assert prod.tolist() == [[x * y % p for y in vals] for x in a.tolist()]
-    terms = np.array([vals, [p - 1] * len(vals), vals[::-1]] + [[p - 1] * len(vals)] * 60,
-                     dtype=np.uint64)
-    assert zp.colsum(terms).tolist() == [sum(col) % p for col in terms.T.tolist()]
+    assert zp.mulmod(w[:, None], w[None, :]).tolist() == [[x * y % p for y in vals]
+                                                          for x in vals]
+    assert zp.add(w[:, None], w[None, :]).tolist() == [[(x + y) % p for y in vals]
+                                                       for x in vals]
+    assert zp.sub(w[:, None], w[None, :]).tolist() == [[(x - y) % p for y in vals]
+                                                       for x in vals]
 
 
-EXACT_PRIMES = [8388617, (1 << 31) - 1, P62, (1 << 63) - 25]
+EXACT_PRIMES = [2097143, 2097169, 8388593, 8388617, (1 << 31) - 1, 4398046511093,
+                4398046511119, P62, (1 << 63) - 25]
 
 
 def edge_values(rng, p, shape):
@@ -75,22 +82,23 @@ def edge_values(rng, p, shape):
 
 
 def python_matmul(a, b, p):
-    a, b = a.tolist(), b.tolist()
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    cols = b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a.tolist()]
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
 def test_block_product_matches_python_ints(p):
     rng = random.Random(p + 1)
-    zp = _Zp64(p)
-    # inner sizes past one _CHUNK, and outputs wider than one _CHUNK
-    for m, k, w in [(1, 1, 1), (2, _CHUNK + 500, 3), (90, 7, 100), (5, 130, 70)]:
+    # inner sizes past one GEMM chunk (at most 2048 here), outputs larger
+    # than one _CHUNK, and empty shapes
+    for m, k, w in [(1, 1, 1), (2, _CHUNK + 500, 3), (90, 7, 100), (5, 130, 70), (0, 3, 2),
+                    (2, 0, 3)]:
         a, b = edge_values(rng, p, (m, k)), edge_values(rng, p, (k, w))
         expect = python_matmul(a, b, p)
-        assert zp.matmul(a, b).tolist() == expect
+        assert matmul_modp(a, b, p).tolist() == expect
         assert matmul_modp(a.view(np.int64), b.view(np.int64), p).tolist() == expect
-    ones = np.full((3, _CHUNK + 7), p - 1, dtype=np.uint64)
-    assert zp.matmul(ones, ones.T.copy()).tolist() == [[(_CHUNK + 7) % p] * 3] * 3
+    ones = np.full((3, _CHUNK + 7), p - 1, dtype=np.int64)
+    assert matmul_modp(ones, ones.T.copy(), p).tolist() == [[(_CHUNK + 7) % p] * 3] * 3
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
@@ -141,7 +149,6 @@ def boundary_matrix(rng, p, r, c, density):
 
 @pytest.mark.parametrize("p", BOUNDARY_PRIMES)
 def test_boundary_primes_match_sparse_reference_and_oracle(p):
-    assert BOUNDARY_PRIMES[0] <= FLOAT_TIER_MAX < BOUNDARY_PRIMES[1]
     rng = random.Random(p)
     for r, c, density in [(65, 65, 0.5), (300, 120, 0.1), (90, 300, 0.03), (200, 200, 0.015)]:
         mat, k = boundary_matrix(rng, p, r, c, density)
@@ -160,7 +167,7 @@ def test_macaulay_matrices_match_sparse_reference():
 
 
 class RecordingRows(CsrRows):
-    """CsrRows that log every (lo, hi) the engine asks for."""
+    """CsrRows that log every (lo, hi) rref asks for."""
 
     def __init__(self, rows, p):
         full = CsrRows.from_dicts(rows, p)
@@ -242,17 +249,39 @@ def test_relation_matrix_reads_one_block_of_rows():
 
 def test_block_size_guard_refuses_before_allocating(monkeypatch):
     n = 40000
-    mat = FieldMatrix(P62, n, n, [{i: 1} for i in range(n)])
-    # without the guard the engine would go on to fill a 3.2 GB block
-    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("block allocated"))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardExceeded):
-            rref(mat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # without the guard rref would go on to fill a 3.2 GB block, at a small
+    # prime and at the default one alike
+    mats = [FieldMatrix(p, n, n, [{i: 1} for i in range(n)]) for p in (10007, P62)]
+    for name in ("empty", "zeros"):
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("array allocated"))
+    for mat in mats:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded):
+                rref(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p", [1048573, P62])
+def test_residual_check_catches_a_corrupted_product(monkeypatch, p):
+    # one wrong entry in every product must not pass silently into an
+    # echelon: the batch it corrupts no longer vanishes modulo the new rows
+    exact = exactla.matmul_modp
+
+    def corrupted(a, b, q):
+        out = exact(a, b, q)
+        if out.size:
+            out.flat[0] = (int(out.flat[0]) + 1) % q
+        return out
+
+    mat, _ = boundary_matrix(random.Random(p), p, 120, 90, 0.3)
+    assert_same_echelon(mat)
+    monkeypatch.setattr(exactla, "matmul_modp", corrupted)
+    with pytest.raises(AssertionError, match="nonzero residue"):
+        rref(mat)
 
 
 def test_smoothness_echelon_memory_budget():

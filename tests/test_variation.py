@@ -175,6 +175,35 @@ def test_cor23_small_battery():
         assert r.report.verdict == MAXIMAL_VARIATION_CERTIFIED, (r.case, r.n, r.d)
 
 
+def test_cor23_builds_one_ring_per_sampled_form(monkeypatch):
+    # the ring that certified a sampled form smooth is the one its verdict
+    # is computed on, so no echelon is computed twice
+    from varcert import variation
+    drawn, rings = [], []
+    random_form, ring_class = variation.random_form, variation.JacobianRing
+
+    def counting_form(*args, **kwargs):
+        drawn.append(random_form(*args, **kwargs))
+        return drawn[-1]
+
+    class CountingRing(ring_class):
+        def __init__(self, form):
+            super().__init__(form)
+            rings.append(self)
+
+    monkeypatch.setattr(variation, "random_form", counting_form)
+    monkeypatch.setattr(variation, "JacobianRing", CountingRing)
+    results = cor23_regression_suite(PrimeField(10007), seed=3, trials=3,
+                                     forms_per_case=2)
+    assert len(rings) == sum(not f.is_zero() for f in drawn) >= len(results) == 6
+    monkeypatch.undo()
+    for r in results:
+        fresh = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, r.form),
+                                    trials=3, seed=3)
+        assert (fresh.verdict, fresh.detail, fresh.provenance) == (
+            r.report.verdict, r.report.detail, r.report.provenance)
+
+
 def test_cor23_budget_guard():
     with pytest.raises(ValueError):
         cor23_regression_suite(F, forms_per_case=1,
