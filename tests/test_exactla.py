@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,23 @@ def test_float_tier_matches_sparse_reference_on_wide_macaulay_matrix():
         assert got.pivots == ref.pivots
         for k in range(ref.rank):
             assert got.row_as_dict(k) == ref.row_as_dict(k)
+
+
+def test_float_tier_size_guard_refuses_before_allocating(monkeypatch):
+    # the small primes once served by a float tier share the one engine's
+    # guard: a 40000 x 40000 matrix at 10007 would fill a 3.2 GB block
+    n = 40000
+    mat = FieldMatrix(10007, n, n, [{i: 1} for i in range(n)])
+    for name in ("empty", "zeros"):
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("array allocated"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardExceeded):
+            rref(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dump_load_roundtrip(tmp_path):
