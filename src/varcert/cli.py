@@ -21,6 +21,7 @@ from .exactla import MatrixFormatError, SizeGuardExceeded, dense_rank_oracle, lo
 from .jacobian import CharacteristicError, HilbertMismatch, JacobianRing, ci_hilbert_coefficients
 from .lefschetz import wlp_sweep
 from .polyring import (
+    MAX_VARIABLES,
     HomogeneousForm,
     PolyError,
     PrimeField,
@@ -36,8 +37,7 @@ from .variation import (
     SMOOTHNESS_NOT_CERTIFIED,
     TRIVIALLY_CERTIFIED,
     GeometryInput,
-    maxvar_double_cover,
-    maxvar_hypersurface,
+    maxvar,
 )
 
 # 2^62 - 57, the largest prime below 2^62; fixed so published results carry
@@ -69,6 +69,9 @@ def infer_variable_count(text: str) -> int:
     indices = [int(m.group(1)) for m in re.finditer(r"x(\d+)", text)]
     if not indices:
         raise CliError("no variables found in the input form")
+    if max(indices) >= MAX_VARIABLES:
+        raise CliError(f"the form names x{max(indices)}; forms may use "
+                       f"x0..x{MAX_VARIABLES - 1} only")
     return max(indices)
 
 
@@ -95,48 +98,30 @@ def load_input_form(args, field: PrimeField) -> tuple[HomogeneousForm, dict]:
                   "n": form.n, "d": form.degree}
 
 
-def make_field(args) -> PrimeField:
-    try:
-        return PrimeField(args.prime)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def check_prime_exceeds_degree(prime: int, d: int) -> None:
-    if prime <= d:
-        raise CliError(f"prime {prime} must exceed the form degree {d}")
-
-
-def emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(text_lines))
-
-
-def _config(args) -> dict:
-    return {"prime": args.prime, "seed": args.seed, "trials": args.trials}
-
-
-def _timings(t0: float, ring: Optional[JacobianRing] = None) -> dict:
-    out = {"total": round((time.perf_counter() - t0) * 1000, 3)}
-    if ring is not None:
-        out["stages"] = ring.stages()
-    return out
-
-
-class FormRun:
-    """The steps every form command shares: field, form and input
-    description, the prime-versus-degree check, the ring, and the report
-    envelope with timings and the ring's stages.  A command adds only its
-    computation and the verdict fields and text lines it renders."""
+class Envelope:
+    """The report every command emits: {command, input, config, <the
+    command's fields>, timings_ms}, printed as JSON or as the command's
+    text lines.  A form command loads its form through `load_form`, which
+    also fills `input`; rank-oracle fills `input` itself.  The timings hold
+    the wall time since the envelope opened and, once a ring is open, the
+    ring's stages."""
 
     def __init__(self, args):
         self.t0 = time.perf_counter()
         self.args = args
-        self.form, self.input = load_input_form(args, make_field(args))
-        check_prime_exceeds_degree(args.prime, self.form.degree)
+        self.input: dict = {}
         self.ring: Optional[JacobianRing] = None
+
+    def load_form(self) -> HomogeneousForm:
+        try:
+            field = PrimeField(self.args.prime)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        self.form, self.input = load_input_form(self.args, field)
+        if self.args.prime <= self.form.degree:
+            raise CliError(f"prime {self.args.prime} must exceed the form degree "
+                           f"{self.form.degree}")
+        return self.form
 
     def open_ring(self) -> JacobianRing:
         if self.form.degree < 2:
@@ -146,22 +131,26 @@ class FormRun:
         return self.ring
 
     def finish(self, code: int, fields: dict, text_lines: list[str]) -> int:
-        report = {"command": self.args.command, "input": self.input,
-                  "config": _config(self.args), **fields,
-                  "timings_ms": _timings(self.t0, self.ring)}
-        emit(report, self.args.fmt, text_lines)
+        args = self.args
+        timings = {"total": round((time.perf_counter() - self.t0) * 1000, 3)}
+        if self.ring is not None:
+            timings["stages"] = self.ring.stages()
+        report = {"command": args.command, "input": self.input,
+                  "config": {"prime": args.prime, "seed": args.seed, "trials": args.trials},
+                  **fields, "timings_ms": timings}
+        print(json.dumps(report, indent=2) if args.fmt == "json" else "\n".join(text_lines))
         return code
 
 
-def cmd_hilbert(args) -> int:
-    run = FormRun(args)
+def cmd_hilbert(run: Envelope) -> int:
+    run.load_form()
     ring = run.open_ring()
     dims = list(ring.hilbert_function())
     certified = ring.certify_smooth()
     verdict = "Certified" if certified else "NotCertified"
     expected = ci_hilbert_coefficients(ring.n, ring.degree)
     lines = [
-        f"hilbert: n={ring.n} d={ring.degree} prime={args.prime}",
+        f"hilbert: n={ring.n} d={ring.degree} prime={run.args.prime}",
         f"dims R_0..R_{ring.socle + 1}: {dims}",
         f"CI series (socle {ring.socle}): {expected}",
         f"smoothness: {verdict}",
@@ -170,8 +159,9 @@ def cmd_hilbert(args) -> int:
                       {"verdict": verdict, "dims": dims, "rank": None}, lines)
 
 
-def cmd_wlp(args) -> int:
-    run = FormRun(args)
+def cmd_wlp(run: Envelope) -> int:
+    args = run.args
+    run.load_form()
     ring = run.open_ring()
     if not ring.certify_smooth():
         return run.finish(EXIT_NOT_CERTIFIED,
@@ -202,14 +192,13 @@ _MAXVAR_EXIT = {
 }
 
 
-def cmd_maxvar(args) -> int:
-    run = FormRun(args)
+def cmd_maxvar(run: Envelope) -> int:
+    args = run.args
+    geom = GeometryInput(args.kind, run.load_form(), args.e)
     run.input.update(kind=args.kind, e=args.e)
-    geom = GeometryInput(args.kind, run.form, args.e)
     # the gate comes first: it is what rejects forms no ring can be built for
     ring = run.open_ring() if geom.gate_violation() is None else None
-    decide = maxvar_hypersurface if args.kind == KIND_HYPERSURFACE else maxvar_double_cover
-    rep = decide(geom, trials=args.trials, seed=args.seed, ring=ring)
+    rep = maxvar(geom, trials=args.trials, seed=args.seed, ring=ring)
     prov = rep.provenance
     fields = {
         "verdict": rep.verdict,
@@ -236,9 +225,8 @@ def cmd_maxvar(args) -> int:
     return run.finish(_MAXVAR_EXIT[rep.verdict], fields, lines)
 
 
-def cmd_rank_oracle(args) -> int:
-    t0 = time.perf_counter()
-    path = Path(args.matrix_file)
+def cmd_rank_oracle(run: Envelope) -> int:
+    path = Path(run.args.matrix_file)
     try:
         mat = load_matrix(path)
     except OSError as exc:
@@ -253,20 +241,15 @@ def cmd_rank_oracle(args) -> int:
     oracle_rank = dense_rank_oracle(mat)
     agree = sparse_rank == oracle_rank
     verdict = "RankAgreement" if agree else "RankMismatch"
-    report = {
-        "command": "rank-oracle",
-        "input": {"source": str(path), "nrows": mat.nrows, "ncols": mat.ncols,
-                  "modulus": mat.p},
-        "config": _config(args),
-        "verdict": verdict, "dims": [mat.nrows, mat.ncols],
-        "rank": sparse_rank, "detail": {"oracle_rank": oracle_rank},
-        "timings_ms": _timings(t0),
-    }
+    run.input = {"source": str(path), "nrows": mat.nrows, "ncols": mat.ncols,
+                 "modulus": mat.p}
     lines = [f"rank-oracle: {mat.nrows}x{mat.ncols} mod {mat.p}",
              f"echelon rank = {sparse_rank}, oracle rank = {oracle_rank}",
              verdict]
-    emit(report, args.fmt, lines)
-    return EXIT_OK if agree else EXIT_NOT_CERTIFIED
+    return run.finish(EXIT_OK if agree else EXIT_NOT_CERTIFIED,
+                      {"verdict": verdict, "dims": [mat.nrows, mat.ncols],
+                       "rank": sparse_rank, "detail": {"oracle_rank": oracle_rank}},
+                      lines)
 
 
 def _add_common(sub: argparse.ArgumentParser, with_form: bool = True) -> None:
@@ -314,7 +297,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
-        return args.func(args)
+        return args.func(Envelope(args))
     except (CliError, CharacteristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -497,7 +497,9 @@ def rref(mat: FieldMatrix) -> EchelonResult:
 def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Optional[list[int]]:
     """A verified nonzero kernel vector, or None when columns are independent.
 
-    Uses the leftmost free column, so the witness is deterministic."""
+    Uses the leftmost free column, so the witness is deterministic: the
+    columns left of it are the pivots of the first rows, and their entries
+    at it (column 0 of the free block) give the rest of the vector."""
     if ech is None:
         ech = rref(mat)
     if ech.rank == mat.ncols:
@@ -506,12 +508,7 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Option
     free = ech.free_columns()[0]
     v = [0] * mat.ncols
     v[free] = 1
-    for k, c in enumerate(ech.pivots):
-        if c > free:
-            break
-        entry = ech.row_as_dict(k).get(free, 0)
-        if entry:
-            v[c] = (-entry) % p
+    v[:free] = (-ech.free_block()[:free, 0] % p).tolist()
     if any(x % p for x in mat.mul_vector(v)):
         raise AssertionError("kernel witness failed exact verification")
     return v

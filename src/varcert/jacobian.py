@@ -161,7 +161,6 @@ class JacobianRing:
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
         self._ech: dict[int, EchelonResult] = {}
         self._stages: dict[int, dict] = {}
-        self._smooth: bool | None = None
 
     def _ci_dim(self, p: int) -> int:
         """The complete-intersection dim CI_p, a lower bound on dim R_p for
@@ -334,10 +333,9 @@ class JacobianRing:
     def certify_smooth(self) -> bool:
         """True when the piece past the socle vanishes, which proves the
         partials form a regular sequence (smoothness) at this prime and,
-        by rank semicontinuity, in characteristic zero for any lift."""
-        if self._smooth is None:
-            self._smooth = self.graded_dim(self.socle + 1) == 0
-        return self._smooth
+        by rank semicontinuity, in characteristic zero for any lift.  The
+        dim comes from the kept echelon, so asking again costs nothing."""
+        return self.graded_dim(self.socle + 1) == 0
 
     def hilbert_function(self) -> tuple[int, ...]:
         """dim R_p for p = 0..socle+1.  For a certified-smooth ring this

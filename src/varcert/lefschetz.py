@@ -33,7 +33,7 @@ class DegreeMismatch(Exception):
 
 def trial_rng(seed: int, prime: int, e: int, p: int, trial: int) -> random.Random:
     """Independent stream per (seed, prime, multiplier degree, target degree,
-    trial), so serial and parallel sweeps draw identical samples."""
+    trial), so a sample does not depend on which degrees were tried before."""
     digest = hashlib.sha256(f"{seed}|{prime}|{e}|{p}|{trial}".encode()).digest()
     return random.Random(int.from_bytes(digest, "big"))
 

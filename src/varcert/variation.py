@@ -1,5 +1,5 @@
-"""Decision procedures for maximal variation of hypersurfaces and of double
-covers branched over them.
+"""One decision procedure for maximal variation of hypersurfaces and of
+double covers branched over them.
 
 Everything reduces to one ring predicate: x h: R_{d-e} -> R_d injective for
 h general of degree e, computed on the Jacobian ring of the defining (or
@@ -53,6 +53,10 @@ class GeometryInput:
         return self.form.degree
 
     def gate_violation(self) -> Optional[str]:
+        """The first theorem hypothesis the input violates, or None; an
+        unknown kind raises ValueError."""
+        if self.kind not in (KIND_HYPERSURFACE, KIND_DOUBLE_COVER):
+            raise ValueError(f"unknown kind {self.kind!r}")
         n, d = self.n, self.d
         if self.e < 1:
             return f"e = {self.e} must be >= 1"
@@ -64,17 +68,15 @@ class GeometryInput:
             if n == 3 and d < 4:
                 return f"d = {d} violates d >= 4 when n = 3"
             return None
-        if self.kind == KIND_DOUBLE_COVER:
-            if n < 2:
-                return f"n = {n} violates n >= 2"
-            if d % 2 != 0:
-                return f"d = {d} violates even branch degree"
-            if d < 4:
-                return f"d = {d} violates d >= 4"
-            if n == 2 and d < 6:
-                return f"d = {d} violates d >= 6 when n = 2"
-            return None
-        raise ValueError(f"unknown kind {self.kind!r}")
+        if n < 2:
+            return f"n = {n} violates n >= 2"
+        if d % 2 != 0:
+            return f"d = {d} violates even branch degree"
+        if d < 4:
+            return f"d = {d} violates d >= 4"
+        if n == 2 and d < 6:
+            return f"d = {d} violates d >= 6 when n = 2"
+        return None
 
 
 @dataclass
@@ -141,58 +143,36 @@ def _injectivity_report(ring: JacobianRing, e: int, criterion: str,
                            note=note)
 
 
-def maxvar_hypersurface(inp: GeometryInput, trials: int = 3, seed: int = 0,
-                        ring: Optional[JacobianRing] = None) -> VariationReport:
-    if inp.kind != KIND_HYPERSURFACE:
-        raise ValueError("input is not a hypersurface")
+def maxvar(inp: GeometryInput, trials: int = 3, seed: int = 0,
+           ring: Optional[JacobianRing] = None) -> VariationReport:
+    """The maximal-variation verdict for a hypersurface or a double cover,
+    read from inp.kind: the gate, the smoothness certificate of the form
+    (of the branch form for a double cover), then x h: R_{d-e} -> R_d.  A
+    double cover with 1 < e < d is decided by the e=1 criterion."""
     viol = inp.gate_violation()
     if viol:
-        return VariationReport(PRECONDITION_VIOLATED, "hypersurface gate", viol)
+        return VariationReport(PRECONDITION_VIOLATED, f"{inp.kind} gate", viol)
+    double = inp.kind == KIND_DOUBLE_COVER
+    name, noun = ("double cover", "branch form") if double else ("hypersurface", "form")
     if ring is None:
         ring = JacobianRing(inp.form)
     if not ring.certify_smooth():
         return VariationReport(
             SMOOTHNESS_NOT_CERTIFIED, "smoothness certificate",
             f"R_{ring.socle + 1} does not vanish at prime {ring.field.p}; "
-            f"the form may be singular, or this prime may be unlucky",
+            f"the {noun} may be singular, or this prime may be unlucky",
             _provenance(ring.field.p, seed, trials))
     e, d = inp.e, inp.d
     if e >= d:
-        label = "shortcut e > d" if e > d else "shortcut e = d"
-        return _shortcut_report(ring, e, label, seed, trials)
+        label = f"shortcut e {'>' if e > d else '='} d"
+        return _shortcut_report(ring, e, f"double cover {label}" if double else label,
+                                seed, trials)
     if e == 1:
-        return _injectivity_report(ring, 1, "hypersurface e=1 (iff)",
-                                   trials, seed, note=None)
-    return _injectivity_report(ring, e, f"hypersurface e={e} (sufficient)",
-                               trials, seed, note=SUFFICIENCY_NOTE)
-
-
-def maxvar_double_cover(inp: GeometryInput, trials: int = 3, seed: int = 0,
-                        ring: Optional[JacobianRing] = None) -> VariationReport:
-    if inp.kind != KIND_DOUBLE_COVER:
-        raise ValueError("input is not a double cover")
-    viol = inp.gate_violation()
-    if viol:
-        return VariationReport(PRECONDITION_VIOLATED, "double-cover gate", viol)
-    if ring is None:
-        ring = JacobianRing(inp.form)
-    if not ring.certify_smooth():
-        return VariationReport(
-            SMOOTHNESS_NOT_CERTIFIED, "smoothness certificate",
-            f"R_{ring.socle + 1} does not vanish at prime {ring.field.p}; "
-            f"the branch form may be singular, or this prime may be unlucky",
-            _provenance(ring.field.p, seed, trials))
-    e, d = inp.e, inp.d
-    if e >= d:
-        label = "double cover shortcut e > d" if e > d else "double cover shortcut e = d"
-        return _shortcut_report(ring, e, label, seed, trials)
-    if e == 1:
-        return _injectivity_report(ring, 1, "double cover e=1 (iff)",
-                                   trials, seed, note=None)
-    # 1 < e < d: certified exactly when the e=1 criterion certifies
-    rep = _injectivity_report(ring, 1, f"double cover e={e} via e=1 (sufficient)",
+        return _injectivity_report(ring, 1, f"{name} e=1 (iff)", trials, seed, note=None)
+    via = " via e=1" if double else ""
+    rep = _injectivity_report(ring, 1 if double else e, f"{name} e={e}{via} (sufficient)",
                               trials, seed, note=SUFFICIENCY_NOTE)
-    if rep.verdict == NO_EVIDENCE:
+    if double and rep.verdict == NO_EVIDENCE:
         rep.detail = f"e=1 criterion did not certify: {rep.detail}"
     return rep
 
@@ -234,8 +214,8 @@ def cor23_regression_suite(field, seed: int = 0, trials: int = 3,
         rng = random.Random(int.from_bytes(digest, "big"))
         for _ in range(forms_per_case):
             form, ring = _sample_smooth_form(n, d, field, rng)
-            rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form),
-                                      trials=trials, seed=seed, ring=ring)
+            rep = maxvar(GeometryInput(KIND_HYPERSURFACE, form),
+                         trials=trials, seed=seed, ring=ring)
             results.append(CaseResult(case, n, d, form, rep))
     return results
 

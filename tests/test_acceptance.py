@@ -23,8 +23,7 @@ from varcert.variation import (
     KIND_HYPERSURFACE,
     GeometryInput,
     cor23_regression_suite,
-    maxvar_double_cover,
-    maxvar_hypersurface,
+    maxvar,
 )
 
 FA = PrimeField(PRIME_A)
@@ -90,8 +89,7 @@ def test_c4_theorem_cases_certify_with_two_prime_retry():
             continue
         retried += 1
         lifted = HomogeneousForm.from_terms(r.n, r.d, r.form.terms, FB)
-        rep_b = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, lifted),
-                                    trials=3, seed=0)
+        rep_b = maxvar(GeometryInput(KIND_HYPERSURFACE, lifted), trials=3, seed=0)
         if not rep_b.certified:
             dual_failures.append((r.case, r.n, r.d))
     elapsed = time.perf_counter() - t0
@@ -153,10 +151,10 @@ def test_c7_double_cover_coherence_and_descent(corpus):
     for shape in ((3, 4), (4, 4)):
         for entry in corpus[shape]:
             form = entry.form(PRIME_A)
-            h = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form, 1),
-                                    trials=3, seed=0, ring=entry.ring(PRIME_A))
-            c = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 1),
-                                    trials=3, seed=0, ring=entry.ring(PRIME_A))
+            h = maxvar(GeometryInput(KIND_HYPERSURFACE, form, 1),
+                       trials=3, seed=0, ring=entry.ring(PRIME_A))
+            c = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 1),
+                       trials=3, seed=0, ring=entry.ring(PRIME_A))
             if (h.verdict, h.detail, h.provenance) == (c.verdict, c.detail, c.provenance):
                 coherent += 1
             else:
@@ -201,14 +199,11 @@ def test_c9_verdicts_stable_across_primes(corpus_flat):
     t0 = time.perf_counter()
     disagreements = []
     for entry in corpus_flat:
-        if (entry.n, entry.d) == (2, 6):
-            kind, run = KIND_DOUBLE_COVER, maxvar_double_cover
-        else:
-            kind, run = KIND_HYPERSURFACE, maxvar_hypersurface
-        va = run(GeometryInput(kind, entry.form(PRIME_A), 1),
-                 trials=3, seed=0, ring=entry.ring(PRIME_A))
-        vb = run(GeometryInput(kind, entry.form(PRIME_B), 1),
-                 trials=3, seed=0, ring=entry.ring(PRIME_B))
+        kind = KIND_DOUBLE_COVER if (entry.n, entry.d) == (2, 6) else KIND_HYPERSURFACE
+        va = maxvar(GeometryInput(kind, entry.form(PRIME_A), 1),
+                    trials=3, seed=0, ring=entry.ring(PRIME_A))
+        vb = maxvar(GeometryInput(kind, entry.form(PRIME_B), 1),
+                    trials=3, seed=0, ring=entry.ring(PRIME_B))
         if va.verdict != vb.verdict:
             disagreements.append((entry.label, va.verdict, vb.verdict))
     elapsed = time.perf_counter() - t0

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varcert
 from varcert.cli import main
 from varcert.polyring import PrimeField, form_to_str, monomial_count, parse_form
 
@@ -73,6 +78,30 @@ def test_no_variables_exit_1(capsys, tmp_path):
     f.write_text("5")
     code, _, err = run(capsys, "hilbert", str(f), "--prime", P)
     assert code == 1 and "no variables" in err
+
+
+def test_variable_past_x8_exit_1(capsys, tmp_path):
+    f = tmp_path / "ten.txt"
+    f.write_text("x9^2 + x0^2")
+    for command in (("hilbert",), ("wlp",), ("maxvar", "hypersurface"),
+                    ("maxvar", "double-cover")):
+        code, out, err = run(capsys, *command, str(f), "--prime", P)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "x0..x8" in err and err.count("\n") == 1
+
+
+def test_module_entry_point_reports_one_line(tmp_path):
+    # `python -m varcert.cli` runs main() and exits with its code
+    f = tmp_path / "ten.txt"
+    f.write_text("x9^2 + x0^2")
+    src = str(Path(varcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "varcert.cli", "hilbert", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_missing_file_exit_1(capsys, tmp_path):
@@ -144,7 +173,7 @@ def test_maxvar_witness_round_trips(capsys):
     assert parsed.degree == 3
 
 
-def test_maxvar_double_cover(capsys):
+def test_maxvar_kind_double_cover(capsys):
     code, doc, _ = run_json(capsys, "maxvar", "double-cover",
                             "--fermat", "2", "6", "--prime", P)
     assert code == 0

@@ -179,6 +179,23 @@ def test_wlp_shared_multiplier_reused():
             assert v.multiplier == rep.shared_multiplier
 
 
+def test_wlp_falls_back_where_the_shared_form_fails():
+    # at p=5 the shared linear form misses maximal rank into degrees 4..7 of
+    # the Fermat quartic in five variables; 4 and 7 certify with a fresh
+    # sample, 5 and 6 stay one short after every trial
+    rep = wlp_sweep(fermat_ring(4, 4, PrimeField(5)), trials=3, rng_seed=2)
+    for p in (4, 7):
+        v = rep.verdicts[p]
+        assert v.outcome == CERTIFIED_MAX_RANK and v.trials_used == 1
+        assert v.multiplier != rep.shared_multiplier
+    for p in (5, 6):
+        v = rep.verdicts[p]
+        assert v.outcome == PROBABLY_DEFICIENT and v.trials_used == 3
+        assert (v.best_rank, v.required_rank) == (44, 45)
+        assert v.witness is not None and v.witness.degree == p - 1
+    assert not rep.holds
+
+
 def test_injectivity_descends_on_fermat():
     ring = fermat_ring(3, 4, F)
     ell = parse_form("x0 + 2x1 + 3x2 + 5x3", 3, F)

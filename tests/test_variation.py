@@ -18,8 +18,7 @@ from varcert.variation import (
     CaseResult,
     GeometryInput,
     cor23_regression_suite,
-    maxvar_double_cover,
-    maxvar_hypersurface,
+    maxvar,
 )
 
 F = PrimeField(1048573)
@@ -47,8 +46,7 @@ GATE_CASES = [
 def test_gates_reject(kind, n, d, e, label):
     inp = GeometryInput(kind, fermat_form(n, d), e)
     assert inp.gate_violation() is not None
-    run = maxvar_hypersurface if kind == KIND_HYPERSURFACE else maxvar_double_cover
-    rep = run(inp)
+    rep = maxvar(inp)
     assert rep.verdict == PRECONDITION_VIOLATED
     assert not rep.certified
 
@@ -65,11 +63,11 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         inp.gate_violation()
     with pytest.raises(ValueError):
-        maxvar_hypersurface(inp)
+        maxvar(inp)
 
 
 def test_hypersurface_e1_certifies_fermat_quartic():
-    rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, fermat_form(3, 4)))
+    rep = maxvar(GeometryInput(KIND_HYPERSURFACE, fermat_form(3, 4)))
     assert rep.verdict == MAXIMAL_VARIATION_CERTIFIED
     assert rep.criterion == "hypersurface e=1 (iff)"
     assert rep.provenance["rank"] == rep.provenance["dim_source"] == 16
@@ -79,10 +77,10 @@ def test_hypersurface_e1_certifies_fermat_quartic():
 
 def test_shortcuts():
     inp_gt = GeometryInput(KIND_HYPERSURFACE, fermat_form(3, 4), e=5)
-    rep_gt = maxvar_hypersurface(inp_gt)
+    rep_gt = maxvar(inp_gt)
     assert rep_gt.verdict == TRIVIALLY_CERTIFIED and "negative degree" in rep_gt.detail
     inp_eq = GeometryInput(KIND_HYPERSURFACE, fermat_form(3, 4), e=4)
-    rep_eq = maxvar_hypersurface(inp_eq)
+    rep_eq = maxvar(inp_eq)
     assert rep_eq.verdict == TRIVIALLY_CERTIFIED
     assert rep_eq.provenance["rank"] == 1
 
@@ -90,10 +88,10 @@ def test_shortcuts():
 def test_sufficient_range_certifies_when_e1_does():
     # on a ring where e=1 certifies, every larger twist below d should too
     form = fermat_form(3, 5)
-    base = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form, 1))
+    base = maxvar(GeometryInput(KIND_HYPERSURFACE, form, 1))
     assert base.verdict == MAXIMAL_VARIATION_CERTIFIED
     for e in (2, 3, 4):
-        rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form, e))
+        rep = maxvar(GeometryInput(KIND_HYPERSURFACE, form, e))
         assert rep.verdict == MAXIMAL_VARIATION_CERTIFIED, e
         assert rep.note == SUFFICIENCY_NOTE
         assert f"e={e}" in rep.criterion
@@ -103,10 +101,8 @@ def test_double_cover_coherence_with_hypersurface_e1():
     # both kinds admit (3,4); the e=1 ring predicate is identical, so the
     # reports must agree in everything except the criterion label
     form = fermat_form(3, 4)
-    h = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form, 1),
-                            trials=3, seed=11)
-    c = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 1),
-                            trials=3, seed=11)
+    h = maxvar(GeometryInput(KIND_HYPERSURFACE, form, 1), trials=3, seed=11)
+    c = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 1), trials=3, seed=11)
     assert h.criterion != c.criterion
     assert (h.verdict, h.detail, h.provenance, h.failure_bound, h.witness) == \
         (c.verdict, c.detail, c.provenance, c.failure_bound, c.witness)
@@ -114,25 +110,25 @@ def test_double_cover_coherence_with_hypersurface_e1():
 
 def test_double_cover_mid_twist_routes_through_e1():
     form = fermat_form(2, 6)
-    rep = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 3))
+    rep = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 3))
     assert rep.verdict == MAXIMAL_VARIATION_CERTIFIED
     assert rep.criterion == "double cover e=3 via e=1 (sufficient)"
     assert rep.note == SUFFICIENCY_NOTE
-    base = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 1))
+    base = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 1))
     assert rep.provenance == base.provenance
 
 
 def test_double_cover_shortcuts():
     form = fermat_form(2, 6)
-    rep = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 7))
+    rep = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 7))
     assert rep.verdict == TRIVIALLY_CERTIFIED
-    rep_eq = maxvar_double_cover(GeometryInput(KIND_DOUBLE_COVER, form, 6))
+    rep_eq = maxvar(GeometryInput(KIND_DOUBLE_COVER, form, 6))
     assert rep_eq.verdict == TRIVIALLY_CERTIFIED
 
 
 def test_singular_input_blocks_certification():
     cone = parse_form("x0^4 + x1^4 + x2^4 + 0*x3^4", 3, F)
-    rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, cone))
+    rep = maxvar(GeometryInput(KIND_HYPERSURFACE, cone))
     assert rep.verdict == SMOOTHNESS_NOT_CERTIFIED
     assert "may be unlucky" in rep.detail
     assert not rep.certified
@@ -140,8 +136,7 @@ def test_singular_input_blocks_certification():
 
 def test_no_evidence_at_small_prime_with_witness():
     form = fermat_form(3, 4, PrimeField(5))
-    rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form),
-                              trials=3, seed=0)
+    rep = maxvar(GeometryInput(KIND_HYPERSURFACE, form), trials=3, seed=0)
     assert rep.verdict == NO_EVIDENCE
     assert rep.failure_bound == Fraction(1)  # (16/5)^3 caps at 1
     assert rep.witness is not None and rep.witness.degree == 3
@@ -151,8 +146,8 @@ def test_no_evidence_at_small_prime_with_witness():
 
 def test_report_deterministic():
     form = fermat_form(3, 4)
-    a = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form), seed=5)
-    b = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form), seed=5)
+    a = maxvar(GeometryInput(KIND_HYPERSURFACE, form), seed=5)
+    b = maxvar(GeometryInput(KIND_HYPERSURFACE, form), seed=5)
     assert (a.verdict, a.criterion, a.detail, a.provenance) == \
         (b.verdict, b.criterion, b.detail, b.provenance)
 
@@ -160,7 +155,7 @@ def test_report_deterministic():
 def test_external_ring_is_used():
     form = fermat_form(3, 4)
     ring = JacobianRing(form)
-    rep = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, form), ring=ring)
+    rep = maxvar(GeometryInput(KIND_HYPERSURFACE, form), ring=ring)
     assert rep.certified
     # the passed ring accumulated the dims the criterion needed
     assert {3, 4, ring.socle + 1} <= set(ring.known_dims())
@@ -198,8 +193,7 @@ def test_cor23_builds_one_ring_per_sampled_form(monkeypatch):
     assert len(rings) == sum(not f.is_zero() for f in drawn) >= len(results) == 6
     monkeypatch.undo()
     for r in results:
-        fresh = maxvar_hypersurface(GeometryInput(KIND_HYPERSURFACE, r.form),
-                                    trials=3, seed=3)
+        fresh = maxvar(GeometryInput(KIND_HYPERSURFACE, r.form), trials=3, seed=3)
         assert (fresh.verdict, fresh.detail, fresh.provenance) == (
             r.report.verdict, r.report.detail, r.report.provenance)
 
