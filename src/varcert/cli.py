@@ -103,14 +103,15 @@ class Envelope:
     command's fields>, timings_ms}, printed as JSON or as the command's
     text lines.  A form command loads its form through `load_form`, which
     also fills `input`; rank-oracle fills `input` itself.  The timings hold
-    the wall time since the envelope opened and, once a ring is open, the
-    ring's stages."""
+    the wall time since the envelope opened, once a ring is open the ring's
+    stages, and whatever else the command puts in `timings`."""
 
     def __init__(self, args):
         self.t0 = time.perf_counter()
         self.args = args
         self.input: dict = {}
         self.ring: Optional[JacobianRing] = None
+        self.timings: dict = {}
 
     def load_form(self) -> HomogeneousForm:
         try:
@@ -135,6 +136,7 @@ class Envelope:
         timings = {"total": round((time.perf_counter() - self.t0) * 1000, 3)}
         if self.ring is not None:
             timings["stages"] = self.ring.stages()
+        timings.update(self.timings)
         report = {"command": args.command, "input": self.input,
                   "config": {"prime": args.prime, "seed": args.seed, "trials": args.trials},
                   **fields, "timings_ms": timings}
@@ -168,6 +170,7 @@ def cmd_wlp(run: Envelope) -> int:
                           {"verdict": "SmoothnessNotCertified", "dims": None, "rank": None},
                           [f"wlp: smoothness not certified at prime {args.prime}"])
     sweep = wlp_sweep(ring, trials=args.trials, rng_seed=args.seed)
+    run.timings["mirrored"] = sweep.mirrored
     dims = list(ring.hilbert_function())
     detail = {str(p): {"outcome": v.outcome, "required": v.required_rank,
                        "best": v.best_rank, "trials": v.trials_used}

@@ -11,11 +11,13 @@ Most degrees are not eliminated from their ideal matrix.  In every degree
 above d-1 the ideal is S_1 times its piece one degree lower, so R_{q+1} is
 (n+1) copies of R_q modulo the relations x_k m = x_j m', and a relation
 matrix (n+1) dim R_q columns wide gives degree q+1, smooth form or not.
-Its echelon yields the normal form of every degree-(q+1) monomial, and the
-echelon of those normal forms gives the unique echelon of the ideal matrix
-(Matrix-F5's incremental step, Bardet-Faugere-Salvy 2015).  The chain is
-taken wherever it is narrower than the ideal matrix, which for a smooth
-form covers the degrees from a little past the middle up to socle+1, whose
+Its echelon yields the normal form of every degree-(q+1) monomial in some
+basis of R_{q+1}, which is all the next step and dim R_{q+1} need
+(Matrix-F5's incremental step, Bardet-Faugere-Salvy 2015).  The unique
+echelon of the ideal matrix follows from those normal forms with one more
+elimination, made only when a caller asks for it.  The chain is taken
+wherever it is narrower than the ideal matrix, which for a smooth form
+covers the degrees from a little past the middle up to socle+1, whose
 relation matrix is n+1 columns wide.  The complete-intersection series
 bounds every rank from above, which lets the elimination stop reading rows
 early.
@@ -23,6 +25,7 @@ early.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -159,6 +162,8 @@ class JacobianRing:
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
+        self._dims: dict[int, int] = {}
+        self._nf: dict[int, np.ndarray] = {}
         self._ech: dict[int, EchelonResult] = {}
         self._stages: dict[int, dict] = {}
 
@@ -188,29 +193,61 @@ class JacobianRing:
         return FieldMatrix(self.field.p, len(rows), cols, rows,
                            rank_bound=cols - self._ci_dim(p))
 
+    def graded_dim(self, p: int) -> int:
+        """dim R_p, from the one elimination of degree p in this ring (see
+        `_step`); 0 in negative degree."""
+        if p < 0:
+            return 0
+        if p not in self._dims:
+            self._step(p)
+        return self._dims[p]
+
     def echelon(self, p: int) -> EchelonResult:
-        """Reduced echelon form of the degree-p ideal matrix, computed once
-        and kept; it is the only source of dim R_p.  It comes from the
-        relations of degree p-1 when they are narrower than the degree-p
-        ideal matrix, otherwise from that matrix."""
+        """Reduced echelon form of the degree-p ideal matrix, formed on the
+        first call and kept.  A degree eliminated from its ideal matrix has
+        it already; a degree that came from relations forms it here from
+        the normal forms its step kept, with one rref of their transpose
+        (`_echelon_of_normal_forms`), and its stage gains echelon_ms."""
+        if p not in self._dims:
+            self._step(p)
         if p not in self._ech:
-            self._check_columns(p)
-            relation = self._relation_route(p - 1)
             t0 = time.perf_counter()
-            if relation:
-                mat = self.relation_matrix(p - 1)
-                e, rank = self._next_echelon(p - 1, mat)
-            else:
-                mat = self.ideal_matrix(p)
-                e = rref(mat)
-                rank = e.rank
-            self._ech[p] = e
-            self._stages[p] = {
-                "degree": p, "route": "relation" if relation else "ideal",
-                "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
-                "rank": rank, "dim": e.ncols - e.rank,
-                "ms": round((time.perf_counter() - t0) * 1000, 3)}
+            self._ech[p] = _echelon_of_normal_forms(self.field.p, self._nf[p])
+            self._stages[p]["echelon_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         return self._ech[p]
+
+    def _step(self, p: int) -> None:
+        """Eliminate degree p once: from the relations of degree p-1 when
+        they are narrower than the degree-p ideal matrix, keeping the
+        normal forms of the degree-p monomials, otherwise from that matrix,
+        keeping its echelon.  Either gives dim R_p and the stage."""
+        self._check_columns(p)
+        relation = self._relation_route(p - 1)
+        t0 = time.perf_counter()
+        if relation:
+            mat = self.relation_matrix(p - 1)
+            nf, rank = self._next_normal_forms(p - 1, mat)
+            self._nf[p] = nf
+            dim = nf.shape[1]
+        else:
+            mat = self.ideal_matrix(p)
+            e = self._ech[p] = rref(mat)
+            rank, dim = e.rank, e.ncols - e.rank
+        self._dims[p] = dim
+        self._stages[p] = {
+            "degree": p, "route": "relation" if relation else "ideal",
+            "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
+            "rank": rank, "dim": dim,
+            "ms": round((time.perf_counter() - t0) * 1000, 3)}
+
+    def _normal_forms(self, q: int) -> np.ndarray:
+        """The C(n+q, n) x dim R_q array of the degree-q monomials' normal
+        forms in a basis of R_q: the ones a relation step kept, or else
+        those of echelon(q), computed once."""
+        self.graded_dim(q)
+        if q not in self._nf:
+            self._nf[q] = self._ech[q].normal_forms()
+        return self._nf[q]
 
     def _relation_route(self, q: int) -> bool:
         """Whether degree q+1 comes from the relations of degree q: q >= d-1
@@ -220,19 +257,11 @@ class JacobianRing:
         cols = monomial_count(self.n, q + 1)
         if q < self.degree - 1 or (self.n + 1) * self._ci_dim(q) >= cols:
             return False
-        e = self.echelon(q)
-        return (self.n + 1) * (e.ncols - e.rank) < cols
+        return (self.n + 1) * self.graded_dim(q) < cols
 
     def _representations(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """The products x_k * m of every variable k and degree-q monomial m,
-        as positions t = k * C(n+q, n) + m ordered by the column of the
-        product (a stable sort, so k ascends within one product), and the
-        mask of the positions whose product equals the next one's."""
-        keys = monomial_keys(self.n, q + 1)
-        prods = keys.columns((keys.of(enumerate_monomials(self.n, q))
-                              + keys.weights[:, None]).ravel())
-        order = np.argsort(prods, kind="stable")
-        return order, prods[order[1:]] == prods[order[:-1]]
+        """`_product_order(n, q)`, which depends on no form."""
+        return _product_order(self.n, q)
 
     def relation_matrix(self, q: int) -> FieldMatrix:
         """The relations that give R_{q+1} from R_q, for q >= d-1.
@@ -240,19 +269,22 @@ class JacobianRing:
         The ideal is generated in degree d-1, so I_{q+1} = S_1 I_q and
         R_{q+1} = (S_1 (x) R_q) / K, with K spanned by x_k (x) [m] -
         x_j (x) [m'] over the pairs x_k m = x_j m' of degree-q monomials.
-        Written in the basis of R_q that echelon(q) gives, column k*f + i
-        for x_k (x) basis vector i (f = dim R_q), one row per consecutive
-        pair of representations of a degree-(q+1) monomial, these span K, so
-        dim R_{q+1} = (n+1) f - rank.  That is at least CI_{q+1}, so the
-        rank is at most (n+1) f - CI_{q+1}, the matrix's rank bound."""
+        Written in the basis of R_q that `_normal_forms(q)` uses, column
+        k*f + i for x_k (x) basis vector i (f = dim R_q), one row per
+        consecutive pair of representations of a degree-(q+1) monomial,
+        these span K, so dim R_{q+1} = (n+1) f - rank.  That is at least
+        CI_{q+1}, so the rank is at most (n+1) f - CI_{q+1}, the matrix's
+        rank bound.  Another basis of R_q multiplies the matrix on the right
+        by an invertible block-diagonal matrix, which keeps the rank of
+        every leading set of rows, so the rows rref reads do not depend on
+        the basis."""
         if q < self.degree - 1:
             raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
         n, prime = self.n, self.field.p
-        e = self.echelon(q)
-        f = e.ncols - e.rank
+        f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
         order, pair = self._representations(q)
-        rows = _RelationRows(e.normal_forms(), order[:-1][pair], order[1:][pair], prime)
+        rows = _RelationRows(self._normal_forms(q), order[:-1][pair], order[1:][pair], prime)
         return FieldMatrix(prime, len(rows), (n + 1) * f, rows,
                            rank_bound=(n + 1) * f - self._ci_dim(q + 1))
 
@@ -271,25 +303,19 @@ class JacobianRing:
                 f"degree-{q + 1} relation step needs {need} bytes, over the "
                 f"{ENGINE_BYTES_LIMIT} limit")
 
-    def _next_echelon(self, q: int, rel: FieldMatrix) -> tuple[EchelonResult, int]:
-        """The degree-(q+1) echelon from the relation matrix of degree q,
-        and that matrix's rank.
+    def _next_normal_forms(self, q: int, rel: FieldMatrix) -> tuple[np.ndarray, int]:
+        """NF_{q+1}, the normal forms of the degree-(q+1) monomials, from
+        the relation matrix of degree q, and that matrix's rank.
 
         With E = rref(rel), T = E.normal_forms() maps x_k (x) basis vector
         i of R_q to R_{q+1} in the basis of E's free columns, so the normal
         form of a degree-(q+1) monomial x_k m is NF_q[m] @ T_k (T_k the
-        rows of x_k).  The echelon of the ideal matrix has as free columns
-        the monomials independent of all later ones, which are the pivots
-        of rref(NF_{q+1}^T) with its columns reversed; that rref's other
-        columns give the pivot monomials in the free ones, the echelon's
-        block up to sign.  The RREF is unique, so this is the echelon
-        rref(ideal_matrix(q+1)) gives."""
-        prime, e = self.field.p, self.echelon(q)
-        f, m = e.ncols - e.rank, e.ncols
+        rows of x_k)."""
+        prime, nf = self.field.p, self._normal_forms(q)
+        m, f = nf.shape
         er = rref(rel)
         t = er.normal_forms()
         g = t.shape[1]
-        nf = e.normal_forms()
         order, pair = self._representations(q)
         heads = order[np.concatenate([[True], ~pair])]  # first representations
         cols = monomial_count(self.n, q + 1)
@@ -298,18 +324,7 @@ class JacobianRing:
             at = np.flatnonzero(heads // m == k)
             if at.size:
                 nf_next[at] = matmul_modp(nf[heads[at] % m], t[k * f:(k + 1) * f], prime)
-        rev = rref(FieldMatrix.from_array(prime, np.ascontiguousarray(nf_next.T[:, ::-1])))
-        pivots = tuple(cols - 1 - j for j in reversed(rev.free_columns()))
-        block = -rev.free_block()[::-1, ::-1].T % prime
-        return EchelonResult(prime, cols, pivots, np.ascontiguousarray(block)), er.rank
-
-    def graded_dim(self, p: int) -> int:
-        """dim R_p, read off echelon(p), which is kept for later use; 0 in
-        negative degree."""
-        if p < 0:
-            return 0
-        e = self.echelon(p)
-        return e.ncols - e.rank
+        return nf_next, er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
         """Monomials at the non-pivot columns of the ideal matrix echelon;
@@ -321,20 +336,22 @@ class JacobianRing:
         return tuple(mons[j] for j in e.free_columns())
 
     def known_dims(self) -> dict[int, int]:
-        """The dims of the degrees whose echelon this ring has computed."""
-        return {p: e.ncols - e.rank for p, e in self._ech.items()}
+        """The dims of the degrees this ring has eliminated, one per stage,
+        whether or not their echelon has been formed."""
+        return dict(self._dims)
 
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
         ("ideal" or "relation"), the shape of the matrix eliminated, the rows
-        rref read, its rank, the dim and the wall time in ms."""
+        rref read, its rank, the dim and the wall time in ms; a relation
+        step whose echelon has been formed adds that rref's echelon_ms."""
         return [self._stages[p] for p in sorted(self._stages)]
 
     def certify_smooth(self) -> bool:
         """True when the piece past the socle vanishes, which proves the
         partials form a regular sequence (smoothness) at this prime and,
         by rank semicontinuity, in characteristic zero for any lift.  The
-        dim comes from the kept echelon, so asking again costs nothing."""
+        dim is kept, so asking again costs nothing."""
         return self.graded_dim(self.socle + 1) == 0
 
     def hilbert_function(self) -> tuple[int, ...]:
@@ -348,6 +365,38 @@ class JacobianRing:
                 raise HilbertMismatch(
                     f"certified smooth but dims {dims} != series {expected}")
         return dims
+
+
+@functools.lru_cache(maxsize=None)
+def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The products x_k * m of every variable k and degree-q monomial m, as
+    positions t = k * C(n+q, n) + m ordered by the column of the product (a
+    stable sort, so k ascends within one product), and the mask of the
+    positions whose product equals the next one's.  Kept per (n, q) and
+    read-only."""
+    keys = monomial_keys(n, q + 1)
+    prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
+    order = np.argsort(prods, kind="stable")
+    pair = prods[order[1:]] == prods[order[:-1]]
+    order.setflags(write=False)
+    pair.setflags(write=False)
+    return order, pair
+
+
+def _echelon_of_normal_forms(prime: int, nf: np.ndarray) -> EchelonResult:
+    """The reduced echelon form of the ideal matrix of one degree, from the
+    normal forms nf of its monomials in any basis of R_p.  Its free columns
+    are the monomials independent of all later ones, which are the pivots
+    of rref(nf^T) with its columns reversed; that rref's other columns give
+    the pivot monomials in the free ones, the echelon's block up to sign.
+    Another basis changes nf^T by an invertible row operation, which leaves
+    that rref alone, and the RREF is unique, so this is the echelon
+    rref(ideal_matrix(p)) gives."""
+    cols = nf.shape[0]
+    rev = rref(FieldMatrix.from_array(prime, np.ascontiguousarray(nf.T[:, ::-1])))
+    pivots = tuple(cols - 1 - j for j in reversed(rev.free_columns()))
+    block = -rev.free_block()[::-1, ::-1].T % prime
+    return EchelonResult(prime, cols, pivots, np.ascontiguousarray(block))
 
 
 def fermat_ring(n: int, d: int, field: PrimeField) -> JacobianRing:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -167,6 +167,7 @@ class WlpReport:
     verdicts: dict[int, RankVerdict]
     holds: bool
     shared_multiplier: HomogeneousForm
+    mirrored: list[int]  # degrees whose verdict was read from their mirror
 
 
 def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
@@ -175,11 +176,25 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
 
     One shared linear form is tried across all degrees first (a single
     generic l should work everywhere at once); degrees it fails fall back
-    to independent sampling."""
+    to independent sampling.
+
+    A certified-smooth ring is Gorenstein with socle degree s, so x l:
+    R_{p-1} -> R_p is the transpose of x l: R_{s-p} -> R_{s+1-p} in dual
+    bases, with the same rank.  A degree p whose mirror s+1-p < p the
+    shared form certified therefore takes that verdict with source and
+    target swapped, and no map is built; it is listed in `mirrored`.  The
+    verdict is the one a direct computation gives."""
     prime = ring.field.p
     shared = random_form(ring.n, 1, ring.field, trial_rng(rng_seed, prime, 1, 0, 0))
     verdicts: dict[int, RankVerdict] = {}
+    mirrored: list[int] = []
+    mirror = ring.certify_smooth()
     for p in range(1, ring.socle + 1):
+        twin = verdicts.get(ring.socle + 1 - p) if mirror else None
+        if twin is not None and twin.multiplier is shared:
+            verdicts[p] = replace(twin, source_dim=twin.target_dim, target_dim=twin.source_dim)
+            mirrored.append(p)
+            continue
         dim_a = ring.graded_dim(p - 1)
         dim_b = ring.graded_dim(p)
         required = min(dim_a, dim_b)
@@ -195,7 +210,7 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
         else:
             verdicts[p] = certify_general_max_rank(ring, 1, p, trials, rng_seed)
     holds = all(v.certified for v in verdicts.values())
-    return WlpReport(verdicts, holds, shared)
+    return WlpReport(verdicts, holds, shared, mirrored)
 
 
 def injectivity_descends(ring: JacobianRing, ell: HomogeneousForm) -> bool:

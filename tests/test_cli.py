@@ -339,6 +339,21 @@ def test_stages_report_each_degree_and_its_route(capsys):
             assert s["dim"] == cols - s["rank"]
 
 
+def test_timings_show_mirrored_degrees_and_lazy_echelons(capsys):
+    # wlp on Fermat (3,4), socle 8: degrees 5..8 are read from 4..1, so no
+    # map reaches a relation degree (6..9) and none of them forms an
+    # echelon; hilbert reads dims only
+    code, doc, _ = run_json(capsys, "wlp", "--fermat", "3", "4", "--prime", P)
+    assert code == 0
+    timings = doc["timings_ms"]
+    assert timings["mirrored"] == [5, 6, 7, 8]
+    assert [s["degree"] for s in timings["stages"] if s["route"] == "relation"] == [6, 7, 8, 9]
+    assert all("echelon_ms" not in s for s in timings["stages"])
+    code, doc, _ = run_json(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
+    assert code == 0 and "mirrored" not in doc["timings_ms"]
+    assert all("echelon_ms" not in s for s in doc["timings_ms"]["stages"])
+
+
 def test_relation_step_over_the_byte_limit_exits_5(capsys, monkeypatch):
     import varcert.jacobian as jacobian
     monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)

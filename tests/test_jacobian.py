@@ -208,8 +208,9 @@ def test_dims_deterministic_across_instances():
 def test_each_degree_is_eliminated_once(monkeypatch):
     # every degree is computed once: by its ideal matrix below the chain
     # start, by exactly one relation matrix (of the degree below) from it on;
-    # a relation step eliminates its relation matrix and the transposed
-    # normal forms, an ideal step only its matrix
+    # a relation step eliminates its relation matrix and, once quotient_basis
+    # asks for its echelon, the transposed normal forms; an ideal step only
+    # its matrix
     import varcert.jacobian as jacobian
     calls = []
     real = jacobian.rref
@@ -357,6 +358,43 @@ def test_singular_form_builds_no_socle_ideal_matrix(monkeypatch):
     built = ideal_matrices_built_by_certificate(
         monkeypatch, 4, 4, "x0^2*x1^2 + x1^4 + x2^4 + x3^4 + x4^4", False)
     assert built == [6]
+
+
+def test_relation_steps_form_their_echelon_only_when_asked(monkeypatch):
+    # the smoothness certificate eliminates each degree once and forms no
+    # echelon from normal forms; a later echelon(q) of a relation degree
+    # runs that one rref and gives rref(ideal_matrix(q)), pivots and block
+    import numpy as np
+
+    import varcert.jacobian as jacobian
+    prime = (1 << 62) - 57
+    calls = []
+    real = jacobian.rref
+
+    def counting(mat):
+        calls.append(mat.ncols)
+        return real(mat)
+
+    monkeypatch.setattr(jacobian, "rref", counting)
+    ring = route_ring(4, 4, None, prime)
+    assert ring.certify_smooth()
+    stages = ring.stages()
+    assert len(calls) == len(stages)
+    assert sorted(ring.known_dims()) == [st["degree"] for st in stages]
+    assert all("echelon_ms" not in st for st in stages)
+    relation = [st["degree"] for st in stages if st["route"] == "relation"]
+    assert relation == list(range(7, ring.socle + 2))
+    for q in relation:
+        before = len(calls)
+        got = ring.echelon(q)
+        assert len(calls) == before + 1
+        ref = real(ring.ideal_matrix(q))
+        assert got.pivots == ref.pivots, q
+        assert np.array_equal(got.free_block(), ref.free_block()), q
+        ring.echelon(q)
+        assert len(calls) == before + 1
+    assert [("echelon_ms" in st) for st in ring.stages()] == \
+        [st["route"] == "relation" for st in stages]
 
 
 def test_relation_step_size_guard_refuses_before_allocating(monkeypatch):

@@ -10,6 +10,7 @@ from varcert.lefschetz import (
     CERTIFIED_MAX_RANK,
     PROBABLY_DEFICIENT,
     DegreeMismatch,
+    RankVerdict,
     certify_general_max_rank,
     injectivity_descends,
     mult_map,
@@ -19,6 +20,7 @@ from varcert.lefschetz import (
 from varcert.polyring import (
     HomogeneousForm,
     PrimeField,
+    enumerate_monomials,
     multiply,
     parse_form,
     random_form,
@@ -194,6 +196,62 @@ def test_wlp_falls_back_where_the_shared_form_fails():
         assert (v.best_rank, v.required_rank) == (44, 45)
         assert v.witness is not None and v.witness.degree == p - 1
     assert not rep.holds
+
+
+def direct_sweep(ring, trials, rng_seed):
+    """wlp_sweep with every degree computed from its own map: the shared
+    form first, fresh samples where it fails, nothing read from a mirror."""
+    shared = random_form(ring.n, 1, ring.field, trial_rng(rng_seed, ring.field.p, 1, 0, 0))
+    verdicts = {}
+    for p in range(1, ring.socle + 1):
+        dim_a, dim_b = ring.graded_dim(p - 1), ring.graded_dim(p)
+        required = min(dim_a, dim_b)
+        if required == 0:
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, 0, dim_a, dim_b,
+                                      trials_used=0, failure_bound=Fraction(0))
+            continue
+        gm = mult_map(ring, shared, p)
+        if gm.rank == required:
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, gm.rank, required, dim_a, dim_b,
+                                      trials_used=1, failure_bound=Fraction(0),
+                                      multiplier=shared)
+        else:
+            verdicts[p] = certify_general_max_rank(ring, 1, p, trials, rng_seed)
+    return verdicts
+
+
+def seeded_ring(n, d, prime):
+    rng = random.Random(100 * n + d)
+    terms = {m: rng.randint(-9, 9) for m in enumerate_monomials(n, d)}
+    return JacobianRing(HomogeneousForm.from_terms(
+        n, d, {m: c for m, c in terms.items() if c}, PrimeField(prime)))
+
+
+# (label, ring factory, rng_seed, the degrees read from their mirror)
+MIRROR_CASES = [
+    ("fermat-n3d4-p10007", lambda: fermat_ring(3, 4, PrimeField(10007)), 0, [5, 6, 7, 8]),
+    ("seeded-n3d5-p20", lambda: seeded_ring(3, 5, 1048573), 0, list(range(7, 13))),
+    ("seeded-n4d4-p62", lambda: seeded_ring(4, 4, (1 << 62) - 57), 0, list(range(6, 11))),
+    # degrees 4..7 fall back to fresh samples, so 6 and 7 are computed
+    ("fermat-n4d4-p5", lambda: fermat_ring(4, 4, PrimeField(5)), 2, [8, 9, 10]),
+    # not a smooth form, so no degree is read from its mirror
+    ("singular-quartic", lambda: JacobianRing(parse_form(
+        "x0^2*x1^2 + x1^4 + x2^4 + x3^4", 3, F)), 0, []),
+]
+
+
+@pytest.mark.parametrize("label,make,seed,mirrored", MIRROR_CASES,
+                         ids=[c[0] for c in MIRROR_CASES])
+def test_mirrored_wlp_sweep_matches_a_direct_sweep(label, make, seed, mirrored):
+    ring = make()
+    rep = wlp_sweep(ring, trials=3, rng_seed=seed)
+    assert rep.mirrored == mirrored
+    assert ring.certify_smooth() == bool(mirrored)
+    direct = direct_sweep(ring, 3, seed)
+    assert sorted(rep.verdicts) == sorted(direct) == list(range(1, ring.socle + 1))
+    for p, want in direct.items():
+        assert rep.verdicts[p] == want, p
+    assert rep.holds == all(v.certified for v in direct.values())
 
 
 def test_injectivity_descends_on_fermat():
