@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-INT64_TIER_MAX = 1 << 31
+from .polyring import PrimeField
+
 ORACLE_CELL_LIMIT = 10 ** 7
 ENGINE_BYTES_LIMIT = 1 << 30  # largest pivot block rref allocates
 _CHUNK = 1 << 13  # cells per temporary in products and block slices
@@ -60,24 +61,6 @@ class CsrRows(RowArrays):
     def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         self.indptr, self.cols, self.vals = indptr, cols, vals
 
-    @classmethod
-    def from_dicts(cls, rows: Iterable[dict[int, int]], p: int) -> CsrRows:
-        lens, cols, vals = [0], [], []
-        for r in rows:
-            lens.append(len(r))
-            cols.extend(r)
-            vals.extend(r.values())
-        return cls(np.cumsum(lens), np.array(cols, dtype=np.intp),
-                   np.array(vals, dtype=np.int64) % p)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> CsrRows:
-        """The nonzeros of a 2-D int64 array with entries in [0, p)."""
-        i, j = np.nonzero(a)
-        indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(a, axis=1), out=indptr[1:])
-        return cls(indptr, j, a[i, j])
-
     def __len__(self) -> int:
         return self.indptr.size - 1
 
@@ -89,68 +72,57 @@ class CsrRows(RowArrays):
 
 @dataclass
 class FieldMatrix:
-    """Sparse rows over Z/p: each row maps column index to a value in [1, p).
-    rows may be any collection of nrows rows that can be iterated more than
-    once, such as one that builds them on the fly; a RowArrays also hands
-    rref its rows as numpy arrays directly.
+    """Sparse rows over Z/p, held as a RowArrays: stored CSR arrays, or
+    rows built on each request.
 
     rank_bound, when given, must be a proven upper bound on the rank: rref
     stops reading rows once it reaches it.  rows_read counts the
     leading rows handed out through csr()."""
 
     p: int
-    nrows: int
     ncols: int
-    rows: Iterable[dict[int, int]]
+    rows: RowArrays
     rank_bound: Optional[int] = None
     rows_read: int = field(default=0, init=False, compare=False)
-    _arrays: Optional[RowArrays] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def from_rows(cls, p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
-        clean = []
+        """Rows given as dicts from column to value; values are taken mod p
+        and zeros dropped."""
+        indptr, cols, vals = [0], [], []
         for r in rows:
-            row = {}
             for j, v in r.items():
                 if not 0 <= j < ncols:
                     raise ValueError(f"column {j} out of range for ncols={ncols}")
                 v %= p
                 if v:
-                    row[j] = v
-            clean.append(row)
-        return cls(p, len(clean), ncols, clean)
-
-    @classmethod
-    def from_dense(cls, p: int, entries: Sequence[Sequence[int]], ncols: int | None = None) -> FieldMatrix:
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        rows = [{j: v for j, v in enumerate(r)} for r in entries]
-        return cls.from_rows(p, ncols, rows)
+                    cols.append(j)
+                    vals.append(v)
+            indptr.append(len(cols))
+        return cls(p, ncols, CsrRows(np.array(indptr, dtype=np.int64),
+                                     np.array(cols, dtype=np.intp),
+                                     np.array(vals, dtype=np.int64)))
 
     @classmethod
     def from_array(cls, p: int, a: np.ndarray) -> FieldMatrix:
         """The matrix of a 2-D int64 array with entries in [0, p)."""
-        return cls(p, a.shape[0], a.shape[1], CsrRows.from_dense(a))
+        i, j = np.nonzero(a)
+        indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(a, axis=1), out=indptr[1:])
+        return cls(p, a.shape[1], CsrRows(indptr, j, a[i, j]))
 
     def csr(self, lo: int = 0,
             hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows lo..hi-1 (all by default) as numpy CSR arrays: indptr
         starting at 0, intp column indices, int64 values in [0, p).  The
-        one way rref reads rows; dict rows are converted on the first
-        call and the arrays kept."""
-        if self._arrays is None:
-            self._arrays = (self.rows if isinstance(self.rows, RowArrays)
-                            else CsrRows.from_dicts(self.rows, self.p))
+        one way rref reads rows."""
         hi = self.nrows if hi is None else hi
         self.rows_read = max(self.rows_read, hi)
-        return self._arrays.csr(lo, hi)
-
-    def transpose(self) -> FieldMatrix:
-        cols: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                cols[j][i] = v
-        return FieldMatrix(self.p, self.ncols, self.nrows, cols)
+        return self.rows.csr(lo, hi)
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         """The nrows x ncols array of entries in [0, p)."""
@@ -186,12 +158,6 @@ class EchelonResult:
     def free_columns(self) -> tuple[int, ...]:
         return self._free
 
-    def row_as_dict(self, k: int) -> dict[int, int]:
-        r = self._block[k]
-        out = {self.pivots[k]: 1}
-        out.update((self._free[j], int(r[j])) for j in np.nonzero(r)[0])
-        return out
-
     def free_block(self) -> np.ndarray:
         """The rows' entries at the free columns, as a rank x free-columns
         int64 array."""
@@ -207,15 +173,10 @@ class EchelonResult:
         out[list(self.pivots)] = -self._block % self.p
         return out
 
-    def reduce_vector(self, vec: Sequence[int]) -> list[int]:
-        """Normal form of vec modulo the row space; zero on pivot columns."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        out = np.array([[int(x) % self.p for x in vec]], dtype=np.int64)
-        return [int(x) for x in self.reduce_block(out)[0]]
-
     def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Row-wise reduce_vector for an int64 array of shape (m, ncols)."""
+        """The normal forms of the rows of an int64 array of shape (m,
+        ncols) modulo the row space, with entries in [0, p); zero on pivot
+        columns."""
         p = self.p
         if block.shape[1] != self.ncols:
             raise ValueError("block width does not match column count")
@@ -514,60 +475,45 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Option
     return v
 
 
+def _check_oracle_size(nrows: int, ncols: int) -> None:
+    if nrows * ncols > ORACLE_CELL_LIMIT:
+        raise SizeGuardExceeded(
+            f"oracle limited to {ORACLE_CELL_LIMIT} cells, got {nrows}x{ncols}")
+
+
 def dense_rank_oracle(mat: FieldMatrix) -> int:
     """Independent rank check: plain forward elimination, no blocking.
 
-    Kept deliberately separate from rref(); used to cross-validate it."""
-    if mat.nrows * mat.ncols > ORACLE_CELL_LIMIT:
-        raise SizeGuardExceeded(
-            f"oracle limited to {ORACLE_CELL_LIMIT} cells, got {mat.nrows}x{mat.ncols}")
+    Kept deliberately separate from rref(); used to cross-validate it.
+    Entries are int64 below 2^31 and Python ints (an object array) above,
+    so no product overflows."""
+    _check_oracle_size(mat.nrows, mat.ncols)
     p = mat.p
-    if mat.nrows == 0 or mat.ncols == 0:
-        return 0
-    if p < INT64_TIER_MAX:
-        w = mat.to_dense()
-        r, c = w.shape
-        # when accumulated updates cannot overflow int64, defer all mods and
-        # reduce only the scanned column and the pivot row
-        deferred = (min(r, c) + 1) * (p - 1) * (p - 1) + p < (1 << 63)
-        rk = 0
-        for j in range(c):
-            if rk >= r:
-                break
-            colv = w[rk:, j] % p
-            nz = np.nonzero(colv)[0]
-            if nz.size == 0:
-                continue
-            t = int(nz[0])
-            if t != 0:
-                w[[rk, rk + t]] = w[[rk + t, rk]]
-                colv[[0, t]] = colv[[t, 0]]
-            inv = pow(int(colv[0]), p - 2, p)
-            piv = (w[rk, j + 1:] % p) * inv % p
-            if rk + 1 < r:
-                upd = np.outer(colv[1:], piv)
-                if deferred:
-                    w[rk + 1:, j + 1:] -= upd
-                else:
-                    w[rk + 1:, j + 1:] = (w[rk + 1:, j + 1:] - upd) % p
-            rk += 1
-        return rk
-    rows = [[r.get(j, 0) for j in range(mat.ncols)] for r in mat.rows]
+    w = mat.to_dense(np.int64 if p < 1 << 31 else object)
+    r, c = w.shape
+    # when accumulated updates cannot overflow int64 (never at p >= 2^31),
+    # defer all mods and reduce only the scanned column and the pivot row
+    deferred = (min(r, c) + 1) * (p - 1) * (p - 1) + p < (1 << 63)
     rk = 0
-    for j in range(mat.ncols):
-        if rk >= len(rows):
+    for j in range(c):
+        if rk >= r:
             break
-        t = next((i for i in range(rk, len(rows)) if rows[i][j] % p), None)
-        if t is None:
+        colv = w[rk:, j] % p
+        nz = np.nonzero(colv)[0]
+        if nz.size == 0:
             continue
-        rows[rk], rows[t] = rows[t], rows[rk]
-        inv = pow(rows[rk][j], p - 2, p)
-        piv = [v * inv % p for v in rows[rk]]
-        rows[rk] = piv
-        for i in range(rk + 1, len(rows)):
-            f = rows[i][j] % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], piv)]
+        t = int(nz[0])
+        if t != 0:
+            w[[rk, rk + t]] = w[[rk + t, rk]]
+            colv[[0, t]] = colv[[t, 0]]
+        inv = pow(int(colv[0]), p - 2, p)
+        piv = (w[rk, j + 1:] % p) * inv % p
+        if rk + 1 < r:
+            upd = np.outer(colv[1:], piv)
+            if deferred:
+                w[rk + 1:, j + 1:] -= upd
+            else:
+                w[rk + 1:, j + 1:] = (w[rk + 1:, j + 1:] - upd) % p
         rk += 1
     return rk
 
@@ -577,15 +523,11 @@ def dense_rank_oracle(mat: FieldMatrix) -> int:
 # line 1:  nrows ncols modulus
 # then one "row col value" triple per nonzero entry, row-major, 0-indexed
 
-def dump_matrix(mat: FieldMatrix, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{mat.nrows} {mat.ncols} {mat.p}\n")
-        for i, r in enumerate(mat.rows):
-            for j in sorted(r):
-                fh.write(f"{i} {j} {r[j]}\n")
-
-
 def load_matrix(path) -> FieldMatrix:
+    """The matrix in a dump file.  Before any array is built, a malformed
+    file raises MatrixFormatError, then a modulus that is not a prime below
+    2^62 ValueError (from PrimeField), then a matrix over the dense
+    oracle's cell limit SizeGuardExceeded."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -600,7 +542,7 @@ def load_matrix(path) -> FieldMatrix:
         raise MatrixFormatError(f"non-integer header field in {lines[0]!r}") from None
     if nrows < 0 or ncols < 0 or p < 2:
         raise MatrixFormatError("header values out of range")
-    rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
+    entries: dict[tuple[int, int], int] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -613,7 +555,14 @@ def load_matrix(path) -> FieldMatrix:
             raise MatrixFormatError(f"entry ({i},{j}) outside {nrows}x{ncols}")
         if not 0 < v < p:
             raise MatrixFormatError(f"value {v} not in [1, {p})")
-        if j in rows[i]:
+        if (i, j) in entries:
             raise MatrixFormatError(f"duplicate entry at ({i},{j})")
-        rows[i][j] = v
-    return FieldMatrix(p, nrows, ncols, rows)
+        entries[i, j] = v
+    PrimeField(p)
+    _check_oracle_size(nrows, ncols)
+    ij = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
+    vals = np.array(list(entries.values()), dtype=np.int64)
+    order = np.argsort(ij[:, 0], kind="stable")  # each row's entries in file order
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ij[:, 0], minlength=nrows), out=indptr[1:])
+    return FieldMatrix(p, ncols, CsrRows(indptr, ij[order, 1], vals[order]))

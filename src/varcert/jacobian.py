@@ -190,8 +190,7 @@ class JacobianRing:
         once."""
         cols = self._check_columns(p)
         rows = _IdealRows(self.n, p, p - (self.degree - 1), self.partials)
-        return FieldMatrix(self.field.p, len(rows), cols, rows,
-                           rank_bound=cols - self._ci_dim(p))
+        return FieldMatrix(self.field.p, cols, rows, rank_bound=cols - self._ci_dim(p))
 
     def graded_dim(self, p: int) -> int:
         """dim R_p, from the one elimination of degree p in this ring (see
@@ -259,10 +258,6 @@ class JacobianRing:
             return False
         return (self.n + 1) * self.graded_dim(q) < cols
 
-    def _representations(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """`_product_order(n, q)`, which depends on no form."""
-        return _product_order(self.n, q)
-
     def relation_matrix(self, q: int) -> FieldMatrix:
         """The relations that give R_{q+1} from R_q, for q >= d-1.
 
@@ -283,9 +278,9 @@ class JacobianRing:
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
-        order, pair = self._representations(q)
+        order, pair = _product_order(n, q)
         rows = _RelationRows(self._normal_forms(q), order[:-1][pair], order[1:][pair], prime)
-        return FieldMatrix(prime, len(rows), (n + 1) * f, rows,
+        return FieldMatrix(prime, (n + 1) * f, rows,
                            rank_bound=(n + 1) * f - self._ci_dim(q + 1))
 
     def _check_chain_bytes(self, q: int, f: int) -> None:
@@ -316,7 +311,7 @@ class JacobianRing:
         er = rref(rel)
         t = er.normal_forms()
         g = t.shape[1]
-        order, pair = self._representations(q)
+        order, pair = _product_order(self.n, q)
         heads = order[np.concatenate([[True], ~pair])]  # first representations
         cols = monomial_count(self.n, q + 1)
         nf_next = np.empty((cols, g), dtype=np.int64)

@@ -81,10 +81,9 @@ class GradedMap:
         prod = multiply(self.h, g)
         target = self.ring.echelon(self.target_degree)
         keys = monomial_keys(self.ring.n, self.target_degree)
-        dense = [0] * target.ncols
-        for j, c in zip(keys.columns(keys.of(list(prod.terms))).tolist(), prod.terms.values()):
-            dense[j] = c
-        if any(target.reduce_vector(dense)):
+        dense = np.zeros((1, target.ncols), dtype=np.int64)
+        dense[0, keys.columns(keys.of(list(prod.terms)))] = list(prod.terms.values())
+        if target.reduce_block(dense).any():
             raise AssertionError("kernel form fails h*G = 0 re-verification")
         return g
 
@@ -212,13 +211,3 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
     holds = all(v.certified for v in verdicts.values())
     return WlpReport(verdicts, holds, shared, mirrored)
 
-
-def injectivity_descends(ring: JacobianRing, ell: HomogeneousForm) -> bool:
-    """Cross-validation property: once x l: R_{d-1} -> R_d is injective,
-    x l: R_{p-1} -> R_p must be injective for every p <= d (an element
-    killed by l is killed by all of R_{d-p+1}, hence zero by duality)."""
-    d = ring.degree
-    top = mult_map(ring, ell, d)
-    if not top.is_injective():
-        raise ValueError("precondition: x l must be injective into degree d")
-    return all(mult_map(ring, ell, p).is_injective() for p in range(1, d + 1))

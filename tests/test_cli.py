@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -224,10 +225,37 @@ def test_rank_oracle_agreement_and_bad_modulus(capsys, tmp_path):
     code, _, err = run(capsys, "rank-oracle", str(corrupt))
     assert code == 1 and "bad matrix dump" in err
 
-    wide = tmp_path / "wide.txt"
-    wide.write_text(f"1 1 {(1 << 89) - 1}\n0 0 3\n")
-    code, _, err = run(capsys, "rank-oracle", str(wide))
-    assert code == 1 and "exceeds 62 bits" in err
+    # moduli past 62 bits, one with an entry too wide for int64, are refused
+    # before any array is built
+    for text in (f"1 1 {(1 << 89) - 1}\n0 0 3\n",
+                 f"1 1 {(1 << 63) - 25}\n0 0 3\n",
+                 f"1 2 {(1 << 89) - 1}\n0 0 3\n0 1 {(1 << 63) + 5}\n"):
+        wide = tmp_path / "wide.txt"
+        wide.write_text(text)
+        code, out, err = run(capsys, "rank-oracle", str(wide))
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix modulus") and "exceeds 62 bits" in err
+        assert err.count("\n") == 1
+
+
+def test_rank_oracle_refuses_an_oversized_dump_before_allocating(capsys, tmp_path,
+                                                                  monkeypatch):
+    # 2000000 x 10 is over the oracle's 10^7 cells; neither the echelon nor
+    # one row per header line may be built first
+    from varcert import cli, exactla
+    big = tmp_path / "big.txt"
+    big.write_text("2000000 10 7\n0 0 3\n")
+    for module in (cli, exactla):
+        monkeypatch.setattr(module, "rref", lambda mat: pytest.fail("rref called"))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "rank-oracle", str(big))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (5, "")
+    assert err == "refused: oracle limited to 10000000 cells, got 2000000x10\n"
+    assert peak < 1 << 20
 
 
 def test_argparse_errors_exit_1(capsys):

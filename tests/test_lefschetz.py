@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import injectivity_descends
 from varcert.jacobian import JacobianRing, fermat_ring
 from varcert.lefschetz import (
     CERTIFIED_MAX_RANK,
@@ -12,7 +13,6 @@ from varcert.lefschetz import (
     DegreeMismatch,
     RankVerdict,
     certify_general_max_rank,
-    injectivity_descends,
     mult_map,
     trial_rng,
     wlp_sweep,
