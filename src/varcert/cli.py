@@ -281,10 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(wlp)
     wlp.set_defaults(func=cmd_wlp)
     mv = subs.add_parser("maxvar", help="maximal-variation criterion")
-    mv.add_argument("kind", choices=[KIND_HYPERSURFACE, KIND_DOUBLE_COVER])
-    mv.add_argument("-e", type=int, default=1, help="line-bundle twist (default 1)")
-    _add_common(mv)
-    mv.set_defaults(func=cmd_maxvar)
+    # a parser per kind, so the form file may follow the options
+    kinds = mv.add_subparsers(dest="kind", required=True)
+    for kind in (KIND_HYPERSURFACE, KIND_DOUBLE_COVER):
+        k = kinds.add_parser(kind)
+        k.add_argument("-e", type=int, default=1, help="line-bundle twist (default 1)")
+        _add_common(k)
+        k.set_defaults(func=cmd_maxvar)
     ro = subs.add_parser("rank-oracle",
                          help="cross-check echelon rank against the dense oracle")
     ro.add_argument("matrix_file", help="matrix dump (nrows ncols modulus header)")

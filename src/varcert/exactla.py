@@ -476,7 +476,8 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Option
 
 
 def _check_oracle_size(nrows: int, ncols: int) -> None:
-    if nrows * ncols > ORACLE_CELL_LIMIT:
+    # a row costs at least one cell (its indptr entry) even with no columns
+    if nrows * max(ncols, 1) > ORACLE_CELL_LIMIT:
         raise SizeGuardExceeded(
             f"oracle limited to {ORACLE_CELL_LIMIT} cells, got {nrows}x{ncols}")
 

@@ -11,16 +11,16 @@ Most degrees are not eliminated from their ideal matrix.  In every degree
 above d-1 the ideal is S_1 times its piece one degree lower, so R_{q+1} is
 (n+1) copies of R_q modulo the relations x_k m = x_j m', and a relation
 matrix (n+1) dim R_q columns wide gives degree q+1, smooth form or not.
-Its echelon yields the normal form of every degree-(q+1) monomial in some
-basis of R_{q+1}, which is all the next step and dim R_{q+1} need
-(Matrix-F5's incremental step, Bardet-Faugere-Salvy 2015).  The unique
-echelon of the ideal matrix follows from those normal forms with one more
-elimination, made only when a caller asks for it.  The chain is taken
-wherever it is narrower than the ideal matrix, which for a smooth form
-covers the degrees from a little past the middle up to socle+1, whose
-relation matrix is n+1 columns wide.  The complete-intersection series
-bounds every rank from above, which lets the elimination stop reading rows
-early.
+Its echelon yields the normal form of every degree-(q+1) monomial in a
+basis of products x_k b of R_{q+1}, which is all the next step, dim R_{q+1}
+and a multiplication map into R_{q+1} need (Matrix-F5's incremental step,
+Bardet-Faugere-Salvy 2015).  An ideal step keeps the same pair, normal
+forms and basis monomials, in the standard monomials its echelon leaves
+free.  The chain is taken wherever it is narrower than the ideal matrix,
+which for a smooth form covers the degrees from a little past the middle
+up to socle+1, whose relation matrix is n+1 columns wide.  The
+complete-intersection series bounds every rank from above, which lets the
+elimination stop reading rows early.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .exactla import (
     ENGINE_BYTES_LIMIT,
-    EchelonResult,
     FieldMatrix,
     RowArrays,
     SizeGuardExceeded,
@@ -162,9 +161,8 @@ class JacobianRing:
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
-        self._dims: dict[int, int] = {}
-        self._nf: dict[int, np.ndarray] = {}
-        self._ech: dict[int, EchelonResult] = {}
+        # degree -> (normal forms of its monomials, columns of its basis monomials)
+        self._pieces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._stages: dict[int, dict] = {}
 
     def _ci_dim(self, p: int) -> int:
@@ -186,7 +184,7 @@ class JacobianRing:
         """Rows span the degree-p piece of the partials' ideal; columns are
         the degree-p monomials; the rank is at most C(n+p, n) - CI_p.  The
         rows are regenerated on every pass over them (they are cheap, the
-        echelon is what gets cached), so they are never all in memory at
+        normal forms are what gets kept), so they are never all in memory at
         once."""
         cols = self._check_columns(p)
         rows = _IdealRows(self.n, p, p - (self.degree - 1), self.partials)
@@ -195,58 +193,39 @@ class JacobianRing:
     def graded_dim(self, p: int) -> int:
         """dim R_p, from the one elimination of degree p in this ring (see
         `_step`); 0 in negative degree."""
-        if p < 0:
-            return 0
-        if p not in self._dims:
+        if p >= 0 and p not in self._pieces:
             self._step(p)
-        return self._dims[p]
+        return self._pieces[p][0].shape[1] if p >= 0 else 0
 
-    def echelon(self, p: int) -> EchelonResult:
-        """Reduced echelon form of the degree-p ideal matrix, formed on the
-        first call and kept.  A degree eliminated from its ideal matrix has
-        it already; a degree that came from relations forms it here from
-        the normal forms its step kept, with one rref of their transpose
-        (`_echelon_of_normal_forms`), and its stage gains echelon_ms."""
-        if p not in self._dims:
-            self._step(p)
-        if p not in self._ech:
-            t0 = time.perf_counter()
-            self._ech[p] = _echelon_of_normal_forms(self.field.p, self._nf[p])
-            self._stages[p]["echelon_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-        return self._ech[p]
+    def normal_forms(self, p: int) -> np.ndarray:
+        """The C(n+p, n) x dim R_p array of the degree-p monomials' normal
+        forms, in the basis of R_p that `quotient_basis(p)` lists."""
+        self.graded_dim(p)
+        return self._pieces[p][0]
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 when
-        they are narrower than the degree-p ideal matrix, keeping the
-        normal forms of the degree-p monomials, otherwise from that matrix,
-        keeping its echelon.  Either gives dim R_p and the stage."""
+        they are narrower than the degree-p ideal matrix, otherwise from
+        that matrix.  Either keeps the normal forms of the degree-p
+        monomials and the columns of the basis monomials, and the stage;
+        normal forms over ENGINE_BYTES_LIMIT are refused."""
         self._check_columns(p)
         relation = self._relation_route(p - 1)
         t0 = time.perf_counter()
         if relation:
             mat = self.relation_matrix(p - 1)
-            nf, rank = self._next_normal_forms(p - 1, mat)
-            self._nf[p] = nf
-            dim = nf.shape[1]
+            nf, basis, rank = self._next_normal_forms(p - 1, mat)
         else:
             mat = self.ideal_matrix(p)
-            e = self._ech[p] = rref(mat)
-            rank, dim = e.rank, e.ncols - e.rank
-        self._dims[p] = dim
+            e = rref(mat)
+            _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
+            nf, basis, rank = e.normal_forms(), np.array(e.free_columns(), dtype=np.int64), e.rank
+        self._pieces[p] = nf, basis
         self._stages[p] = {
             "degree": p, "route": "relation" if relation else "ideal",
             "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
-            "rank": rank, "dim": dim,
+            "rank": rank, "dim": nf.shape[1],
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
-
-    def _normal_forms(self, q: int) -> np.ndarray:
-        """The C(n+q, n) x dim R_q array of the degree-q monomials' normal
-        forms in a basis of R_q: the ones a relation step kept, or else
-        those of echelon(q), computed once."""
-        self.graded_dim(q)
-        if q not in self._nf:
-            self._nf[q] = self._ech[q].normal_forms()
-        return self._nf[q]
 
     def _relation_route(self, q: int) -> bool:
         """Whether degree q+1 comes from the relations of degree q: q >= d-1
@@ -264,7 +243,7 @@ class JacobianRing:
         The ideal is generated in degree d-1, so I_{q+1} = S_1 I_q and
         R_{q+1} = (S_1 (x) R_q) / K, with K spanned by x_k (x) [m] -
         x_j (x) [m'] over the pairs x_k m = x_j m' of degree-q monomials.
-        Written in the basis of R_q that `_normal_forms(q)` uses, column
+        Written in the basis of R_q that `normal_forms(q)` uses, column
         k*f + i for x_k (x) basis vector i (f = dim R_q), one row per
         consecutive pair of representations of a degree-(q+1) monomial,
         these span K, so dim R_{q+1} = (n+1) f - rank.  That is at least
@@ -278,8 +257,8 @@ class JacobianRing:
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
-        order, pair = _product_order(n, q)
-        rows = _RelationRows(self._normal_forms(q), order[:-1][pair], order[1:][pair], prime)
+        order, pair, _ = _product_order(n, q)
+        rows = _RelationRows(self.normal_forms(q), order[:-1][pair], order[1:][pair], prime)
         return FieldMatrix(prime, (n + 1) * f, rows,
                            rank_bound=(n + 1) * f - self._ci_dim(q + 1))
 
@@ -287,31 +266,31 @@ class JacobianRing:
         """Refuse, before allocating, a chain step from dim R_q = f whose
         arrays would exceed ENGINE_BYTES_LIMIT: the relation matrix's CSR
         arrays read whole, with their unfiltered copies (4 arrays of nrows x
-        2f), T ((n+1) f x g), NF_{q+1} and its transpose (C(n+q+1, n) x g
-        each), where g bounds dim R_{q+1}."""
+        2f), T ((n+1) f x g), NF_{q+1} and the products that fill it
+        (C(n+q+1, n) x g each), where g bounds dim R_{q+1}."""
         cols = monomial_count(self.n, q + 1)
         nrows = (self.n + 1) * monomial_count(self.n, q) - cols
         g = min((self.n + 1) * f, cols)
-        need = 8 * (8 * nrows * f + (self.n + 1) * f * g + 2 * cols * g)
-        if need > ENGINE_BYTES_LIMIT:
-            raise SizeGuardExceeded(
-                f"degree-{q + 1} relation step needs {need} bytes, over the "
-                f"{ENGINE_BYTES_LIMIT} limit")
+        _check_step_bytes(q + 1, "relation",
+                          8 * (8 * nrows * f + (self.n + 1) * f * g + 2 * cols * g))
 
-    def _next_normal_forms(self, q: int, rel: FieldMatrix) -> tuple[np.ndarray, int]:
-        """NF_{q+1}, the normal forms of the degree-(q+1) monomials, from
-        the relation matrix of degree q, and that matrix's rank.
+    def _next_normal_forms(self, q: int, rel: FieldMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+        """NF_{q+1}, the normal forms of the degree-(q+1) monomials, the
+        columns of their basis monomials and the rank of the relation matrix.
 
         With E = rref(rel), T = E.normal_forms() maps x_k (x) basis vector
         i of R_q to R_{q+1} in the basis of E's free columns, so the normal
         form of a degree-(q+1) monomial x_k m is NF_q[m] @ T_k (T_k the
-        rows of x_k)."""
-        prime, nf = self.field.p, self._normal_forms(q)
+        rows of x_k).  Free column k*f + i is the class of x_k b_i, b_i the
+        i-th basis monomial of R_q, so those products are the new basis
+        monomials; two of them cannot be equal, for their difference is a
+        relation."""
+        prime, nf, basis = self.field.p, self.normal_forms(q), self._pieces[q][1]
         m, f = nf.shape
         er = rref(rel)
         t = er.normal_forms()
         g = t.shape[1]
-        order, pair = _product_order(self.n, q)
+        order, pair, prods = _product_order(self.n, q)
         heads = order[np.concatenate([[True], ~pair])]  # first representations
         cols = monomial_count(self.n, q + 1)
         nf_next = np.empty((cols, g), dtype=np.int64)
@@ -319,27 +298,28 @@ class JacobianRing:
             at = np.flatnonzero(heads // m == k)
             if at.size:
                 nf_next[at] = matmul_modp(nf[heads[at] % m], t[k * f:(k + 1) * f], prime)
-        return nf_next, er.rank
+        free = np.array(er.free_columns(), dtype=np.int64)
+        return nf_next, prods[free // f * m + basis[free % f]], er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
-        """Monomials at the non-pivot columns of the ideal matrix echelon;
-        their classes are a basis of R_p."""
+        """The monomials whose classes are the basis of R_p that
+        `normal_forms(p)` uses, in its column order: the standard monomials
+        an ideal step's echelon leaves free, or the products x_k b a
+        relation step's echelon leaves free."""
         if p < 0:
             return ()
-        e = self.echelon(p)
+        self.graded_dim(p)
         mons = enumerate_monomials(self.n, p)
-        return tuple(mons[j] for j in e.free_columns())
+        return tuple(mons[j] for j in self._pieces[p][1])
 
     def known_dims(self) -> dict[int, int]:
-        """The dims of the degrees this ring has eliminated, one per stage,
-        whether or not their echelon has been formed."""
-        return dict(self._dims)
+        """The dims of the degrees this ring has eliminated, one per stage."""
+        return {p: nf.shape[1] for p, (nf, _) in self._pieces.items()}
 
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
         ("ideal" or "relation"), the shape of the matrix eliminated, the rows
-        rref read, its rank, the dim and the wall time in ms; a relation
-        step whose echelon has been formed adds that rref's echelon_ms."""
+        rref read, its rank, the dim and the wall time in ms."""
         return [self._stages[p] for p in sorted(self._stages)]
 
     def certify_smooth(self) -> bool:
@@ -363,35 +343,25 @@ class JacobianRing:
 
 
 @functools.lru_cache(maxsize=None)
-def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The products x_k * m of every variable k and degree-q monomial m, as
     positions t = k * C(n+q, n) + m ordered by the column of the product (a
-    stable sort, so k ascends within one product), and the mask of the
-    positions whose product equals the next one's.  Kept per (n, q) and
-    read-only."""
+    stable sort, so k ascends within one product), the mask of the
+    positions whose product equals the next one's, and the column of the
+    product at each position.  Kept per (n, q) and read-only."""
     keys = monomial_keys(n, q + 1)
     prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
     order = np.argsort(prods, kind="stable")
     pair = prods[order[1:]] == prods[order[:-1]]
-    order.setflags(write=False)
-    pair.setflags(write=False)
-    return order, pair
+    for a in (order, pair, prods):
+        a.setflags(write=False)
+    return order, pair, prods
 
 
-def _echelon_of_normal_forms(prime: int, nf: np.ndarray) -> EchelonResult:
-    """The reduced echelon form of the ideal matrix of one degree, from the
-    normal forms nf of its monomials in any basis of R_p.  Its free columns
-    are the monomials independent of all later ones, which are the pivots
-    of rref(nf^T) with its columns reversed; that rref's other columns give
-    the pivot monomials in the free ones, the echelon's block up to sign.
-    Another basis changes nf^T by an invertible row operation, which leaves
-    that rref alone, and the RREF is unique, so this is the echelon
-    rref(ideal_matrix(p)) gives."""
-    cols = nf.shape[0]
-    rev = rref(FieldMatrix.from_array(prime, np.ascontiguousarray(nf.T[:, ::-1])))
-    pivots = tuple(cols - 1 - j for j in reversed(rev.free_columns()))
-    block = -rev.free_block()[::-1, ::-1].T % prime
-    return EchelonResult(prime, cols, pivots, np.ascontiguousarray(block))
+def _check_step_bytes(p: int, route: str, need: int) -> None:
+    if need > ENGINE_BYTES_LIMIT:
+        raise SizeGuardExceeded(
+            f"degree-{p} {route} step needs {need} bytes, over the {ENGINE_BYTES_LIMIT} limit")
 
 
 def fermat_ring(n: int, d: int, field: PrimeField) -> JacobianRing:

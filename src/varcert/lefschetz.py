@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactla import EchelonResult, FieldMatrix, kernel_witness, rref
+from .exactla import EchelonResult, FieldMatrix, kernel_witness, matmul_modp, rref
 from .jacobian import JacobianRing
 from .polyring import HomogeneousForm, monomial_keys, multiply, random_form
 
@@ -79,11 +79,10 @@ class GradedMap:
         g = HomogeneousForm.from_terms(self.ring.n, self.source_degree, terms,
                                        self.ring.field)
         prod = multiply(self.h, g)
-        target = self.ring.echelon(self.target_degree)
         keys = monomial_keys(self.ring.n, self.target_degree)
-        dense = np.zeros((1, target.ncols), dtype=np.int64)
-        dense[0, keys.columns(keys.of(list(prod.terms)))] = list(prod.terms.values())
-        if target.reduce_block(dense).any():
+        rows = self.ring.normal_forms(self.target_degree)[keys.columns(keys.of(list(prod.terms)))]
+        coeffs = np.array([list(prod.terms.values())], dtype=np.int64)
+        if matmul_modp(coeffs, rows, self.ring.field.p).any():
             raise AssertionError("kernel form fails h*G = 0 re-verification")
         return g
 
@@ -97,14 +96,13 @@ def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
     if h.n != ring.n or h.field.p != ring.field.p:
         raise DegreeMismatch("multiplier lives in a different ring")
     source_basis = ring.quotient_basis(a)
-    target_ech = ring.echelon(p)
+    nf = ring.normal_forms(p)
     keys = monomial_keys(ring.n, p)
     cols = keys.columns(keys.of(source_basis)[:, None] + keys.of(list(h.terms)))
-    block = np.zeros((len(source_basis), target_ech.ncols), dtype=np.int64)
+    block = np.zeros((len(source_basis), nf.shape[0]), dtype=np.int64)
     # distinct terms of h land in distinct columns of each row
     block[np.arange(len(source_basis))[:, None], cols] = list(h.terms.values())
-    reduced = target_ech.reduce_block(block) if len(source_basis) else block
-    mat = FieldMatrix.from_array(ring.field.p, reduced[:, list(target_ech.free_columns())].T)
+    mat = FieldMatrix.from_array(ring.field.p, matmul_modp(block, nf, ring.field.p).T)
     return GradedMap(ring, h, a, p, mat, rref(mat))
 
 

@@ -164,6 +164,19 @@ def test_maxvar_exit_codes(capsys, tmp_path):
     assert doc["failure_bound"] == "1"
 
 
+def test_maxvar_form_file_follows_the_options(capsys, tmp_path):
+    # the options may come before the form file as well as after it
+    f = tmp_path / "quartic.txt"
+    f.write_text("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3")
+    for kind in ("hypersurface", "double-cover"):
+        code, want, _ = run_json(capsys, "maxvar", kind, str(f), "-e", "2", "--prime", P)
+        assert code == 0
+        for argv in (("-e", "2", "--prime", P, str(f)), ("--prime", P, "-e", "2", str(f))):
+            code, doc, err = run_json(capsys, "maxvar", kind, *argv)
+            assert (code, err) == (0, "")
+            assert strip_timings(doc) == strip_timings(want)
+
+
 def test_maxvar_witness_round_trips(capsys):
     code, doc, _ = run_json(capsys, "maxvar", "hypersurface",
                             "--fermat", "3", "4", "--prime", "5")
@@ -255,6 +268,22 @@ def test_rank_oracle_refuses_an_oversized_dump_before_allocating(capsys, tmp_pat
         tracemalloc.stop()
     assert (code, out) == (5, "")
     assert err == "refused: oracle limited to 10000000 cells, got 2000000x10\n"
+    assert peak < 1 << 20
+
+
+def test_rank_oracle_counts_a_row_without_columns_as_a_cell(capsys, tmp_path):
+    # a zero-column header still costs one indptr entry per row, so 2 * 10^7
+    # empty rows are over the cell limit and are refused before allocating
+    empty = tmp_path / "empty.txt"
+    empty.write_text("20000000 0 7\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "rank-oracle", str(empty))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (5, "")
+    assert err == "refused: oracle limited to 10000000 cells, got 20000000x0\n"
     assert peak < 1 << 20
 
 
@@ -367,19 +396,22 @@ def test_stages_report_each_degree_and_its_route(capsys):
             assert s["dim"] == cols - s["rank"]
 
 
-def test_timings_show_mirrored_degrees_and_lazy_echelons(capsys):
+STAGE_KEYS = {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
+
+
+def test_timings_show_mirrored_degrees_and_one_record_per_stage(capsys):
     # wlp on Fermat (3,4), socle 8: degrees 5..8 are read from 4..1, so no
-    # map reaches a relation degree (6..9) and none of them forms an
-    # echelon; hilbert reads dims only
+    # map reaches a relation degree (6..9); every stage, in wlp and in
+    # hilbert, records its one elimination and nothing else
     code, doc, _ = run_json(capsys, "wlp", "--fermat", "3", "4", "--prime", P)
     assert code == 0
     timings = doc["timings_ms"]
     assert timings["mirrored"] == [5, 6, 7, 8]
     assert [s["degree"] for s in timings["stages"] if s["route"] == "relation"] == [6, 7, 8, 9]
-    assert all("echelon_ms" not in s for s in timings["stages"])
+    assert all(set(s) == STAGE_KEYS for s in timings["stages"])
     code, doc, _ = run_json(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
     assert code == 0 and "mirrored" not in doc["timings_ms"]
-    assert all("echelon_ms" not in s for s in doc["timings_ms"]["stages"])
+    assert all(set(s) == STAGE_KEYS for s in doc["timings_ms"]["stages"])
 
 
 def test_relation_step_over_the_byte_limit_exits_5(capsys, monkeypatch):

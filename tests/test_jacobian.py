@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from varcert.exactla import FieldMatrix, SizeGuardExceeded, rref
+from varcert.exactla import FieldMatrix, SizeGuardExceeded, matmul_modp, rref
 from varcert.jacobian import (
     CharacteristicError,
     JacobianRing,
@@ -209,9 +209,7 @@ def test_dims_deterministic_across_instances():
 def test_each_degree_is_eliminated_once(monkeypatch):
     # every degree is computed once: by its ideal matrix below the chain
     # start, by exactly one relation matrix (of the degree below) from it on;
-    # a relation step eliminates its relation matrix and, once quotient_basis
-    # asks for its echelon, the transposed normal forms; an ideal step only
-    # its matrix
+    # each step is one rref, and quotient_basis reads what the step kept
     import varcert.jacobian as jacobian
     calls = []
     real = jacobian.rref
@@ -239,7 +237,7 @@ def test_each_degree_is_eliminated_once(monkeypatch):
         ring.quotient_basis(p)
     assert ideal == list(range(6))
     assert relation == list(range(5, ring.socle + 1))
-    assert len(calls) == len(ideal) + 2 * len(relation)
+    assert len(calls) == len(ideal) + len(relation)
     assert [s["route"] for s in ring.stages()] == ["ideal"] * 6 + ["relation"] * 4
 
 
@@ -274,9 +272,13 @@ def unbounded(mat):
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
 @pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, smooth, prime):
-    # every degree 0..socle+1 equals the echelon of its whole ideal matrix,
-    # pivots and every row; the ideal matrix's rank bound C(n+q, n) - CI_q
-    # holds for the unstopped rank
+    # every degree 0..socle+1 keeps NF, the normal forms of its monomials in
+    # a basis of monomials: C(n+q, n) rows, as many columns as the whole
+    # ideal matrix's corank, the identity at the basis monomials and zero on
+    # every ideal row, so the kernel of NF is the ideal's row space; a degree
+    # eliminated from its ideal matrix keeps that echelon's free columns as
+    # its basis.  The ideal matrix's rank bound C(n+q, n) - CI_q holds for
+    # the unstopped rank
     ring = route_ring(n, d, text, prime)
     built = []
     ideal_matrix = ring.ideal_matrix
@@ -287,15 +289,19 @@ def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, sm
 
     ring.ideal_matrix = recording
     top = ring.socle + 1
-    ring.echelon(top)
+    ring.graded_dim(top)
     ci = ci_hilbert_coefficients(n, d) + [0]
     for q in range(top + 1):
-        got = ring.echelon(q)
+        nf = ring.normal_forms(q)
+        column = {m: j for j, m in enumerate(enumerate_monomials(n, q))}
+        basis = [column[m] for m in ring.quotient_basis(q)]
         mat = ideal_matrix(q)
         ref = rref(unbounded(mat))
-        assert got.pivots == ref.pivots, q
-        assert got.free_columns() == ref.free_columns()
-        assert np.array_equal(got.free_block(), ref.free_block())
+        assert nf.shape == (ref.ncols, ref.ncols - ref.rank), q
+        assert np.array_equal(nf[basis], np.eye(len(basis), dtype=np.int64)), q
+        assert not matmul_modp(mat.to_dense(), nf, prime).any(), q
+        if ring.stages()[q]["route"] == "ideal":
+            assert tuple(basis) == ref.free_columns(), q
         assert mat.rank_bound == monomial_count(n, q) - ci[q]
         assert ref.rank <= mat.rank_bound
     assert (ref.rank == ref.ncols) == smooth
@@ -360,12 +366,10 @@ def test_singular_form_builds_no_socle_ideal_matrix(monkeypatch):
     assert built == [6]
 
 
-def test_relation_steps_form_their_echelon_only_when_asked(monkeypatch):
-    # the smoothness certificate eliminates each degree once and forms no
-    # echelon from normal forms; a later echelon(q) of a relation degree
-    # runs that one rref and gives rref(ideal_matrix(q)), pivots and block
-    import numpy as np
-
+def test_relation_steps_keep_their_normal_forms(monkeypatch):
+    # the smoothness certificate eliminates each degree once, and the
+    # normal forms, basis and dim of every degree it reached are then read
+    # with no further rref; a stage records only its own elimination
     import varcert.jacobian as jacobian
     prime = (1 << 62) - 57
     calls = []
@@ -381,34 +385,44 @@ def test_relation_steps_form_their_echelon_only_when_asked(monkeypatch):
     stages = ring.stages()
     assert len(calls) == len(stages)
     assert sorted(ring.known_dims()) == [st["degree"] for st in stages]
-    assert all("echelon_ms" not in st for st in stages)
     relation = [st["degree"] for st in stages if st["route"] == "relation"]
     assert relation == list(range(7, ring.socle + 2))
-    for q in relation:
-        before = len(calls)
-        got = ring.echelon(q)
-        assert len(calls) == before + 1
-        ref = real(ring.ideal_matrix(q))
-        assert got.pivots == ref.pivots, q
-        assert np.array_equal(got.free_block(), ref.free_block()), q
-        ring.echelon(q)
-        assert len(calls) == before + 1
-    assert [("echelon_ms" in st) for st in ring.stages()] == \
-        [st["route"] == "relation" for st in stages]
+    for st in stages:
+        q = st["degree"]
+        assert set(st) == {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
+        assert ring.normal_forms(q).shape == (monomial_count(4, q), st["dim"])
+        assert len(ring.quotient_basis(q)) == ring.graded_dim(q) == st["dim"]
+    assert len(calls) == len(stages)
+    assert ring.stages() == stages
 
 
 def test_relation_step_size_guard_refuses_before_allocating(monkeypatch):
     import varcert.jacobian as jacobian
     ring = route_ring(3, 4, None, F.p)
-    ring.echelon(5)  # the last degree below the relation chain
+    ring.graded_dim(5)  # the last degree below the relation chain
     # the degree-6 step needs about 262 kB: Rel_5 is 140 x 64, dim R_5 = 16
     monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)
     monkeypatch.setattr(jacobian, "_product_order",
                         lambda n, q: pytest.fail("relations built"))
     with pytest.raises(SizeGuardExceeded):
-        ring.echelon(6)
+        ring.graded_dim(6)
     monkeypatch.undo()
-    assert ring.echelon(6).rank == monomial_count(3, 6) - 10
+    assert ring.graded_dim(6) == 10
+
+
+def test_ideal_step_size_guard_refuses_the_normal_forms(monkeypatch):
+    # an ideal step keeps a C(n+p, n) x dim R_p array of normal forms: for
+    # degree 3 of a (3,4) form 20 x 16 int64, 2560 bytes; below the degree
+    # d-1 the ideal is empty and that array is the whole identity
+    import varcert.jacobian as jacobian
+    ring = fermat_ring(3, 4, F)
+    assert ring.graded_dim(2) == 10
+    monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 2559)
+    with pytest.raises(SizeGuardExceeded, match="degree-3 ideal step needs 2560 bytes"):
+        ring.graded_dim(3)
+    assert [st["degree"] for st in ring.stages()] == [2]
+    monkeypatch.undo()
+    assert ring.graded_dim(3) == 16
 
 
 def test_column_limit_applies_to_relation_degrees(monkeypatch):
@@ -418,7 +432,7 @@ def test_column_limit_applies_to_relation_degrees(monkeypatch):
     monkeypatch.setattr(jacobian, "IDEAL_MATRIX_COLUMN_LIMIT", monomial_count(3, 9) - 1)
     ring = route_ring(3, 4, None, F.p)
     with pytest.raises(SizeGuardExceeded):
-        ring.echelon(9)
+        ring.graded_dim(9)
     assert ring.stages() == []
 
 

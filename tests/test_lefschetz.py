@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import injectivity_descends
+from varcert.exactla import FieldMatrix, kernel_witness, rref
 from varcert.jacobian import JacobianRing, fermat_ring
 from varcert.lefschetz import (
     CERTIFIED_MAX_RANK,
@@ -21,6 +23,7 @@ from varcert.polyring import (
     HomogeneousForm,
     PrimeField,
     enumerate_monomials,
+    monomial_keys,
     multiply,
     parse_form,
     random_form,
@@ -267,3 +270,55 @@ def test_injectivity_descends_requires_injective_top():
     assert not mult_map(ring, ell, 4).is_injective()
     with pytest.raises(ValueError):
         injectivity_descends(ring, ell)
+
+
+def canonical_map(ring, h, p):
+    """The canonical echelon of the degree-p ideal matrix and x h into
+    degree p written in its free columns, the standard monomials: the
+    product of each source basis monomial, reduced by that echelon."""
+    ref = rref(ring.ideal_matrix(p))
+    source = ring.quotient_basis(p - h.degree)
+    keys = monomial_keys(ring.n, p)
+    cols = keys.columns(keys.of(source)[:, None] + keys.of(list(h.terms)))
+    block = np.zeros((len(source), ref.ncols), dtype=np.int64)
+    block[np.arange(len(source))[:, None], cols] = list(h.terms.values())
+    reduced = ref.reduce_block(block)
+    return ref, FieldMatrix.from_array(ring.field.p, reduced[:, list(ref.free_columns())].T)
+
+
+# (label, ring factory, the variable to multiply by or None for random
+# linear forms, target degrees: relation degrees past the middle, where
+# dim R_{p-1} > dim R_p and every map has a kernel)
+MAP_REFERENCE_CASES = [
+    ("seeded-n3d5-p20", lambda: seeded_ring(3, 5, 1048573), None, range(8, 13)),
+    ("seeded-n4d4-p62", lambda: seeded_ring(4, 4, (1 << 62) - 57), None, range(7, 12)),
+    ("fermat-n3d4-x0", lambda: fermat_ring(3, 4, F), 0, [7]),
+]
+
+
+@pytest.mark.parametrize("label,make,var,degrees", MAP_REFERENCE_CASES,
+                         ids=[c[0] for c in MAP_REFERENCE_CASES])
+def test_maps_into_relation_degrees_match_the_canonical_echelon(label, make, var, degrees):
+    # a relation degree's basis is products x_k b, not the standard
+    # monomials; that changes the map's matrix by an invertible row
+    # operation only, so its rank, its unique echelon and the kernel
+    # witness are those of the map in the canonical echelon's free columns
+    ring = make()
+    rng = random.Random(5)
+    for p in degrees:
+        h = x(var, ring.n) if var is not None else random_form(ring.n, 1, ring.field, rng)
+        gm = mult_map(ring, h, p)
+        assert {st["degree"]: st["route"] for st in ring.stages()}[p] == "relation"
+        ref, canon = canonical_map(ring, h, p)
+        want = rref(canon)
+        assert gm.rank == want.rank, p
+        assert gm.echelon.pivots == want.pivots, p
+        assert np.array_equal(gm.echelon.free_block(), want.free_block()), p
+        vec = kernel_witness(gm.matrix, gm.echelon)
+        assert vec is not None and vec == kernel_witness(canon, want), p
+        # kernel_form verifies h*G = 0 itself; check it in the canonical echelon too
+        prod = multiply(h, gm.kernel_form())
+        keys = monomial_keys(ring.n, p)
+        dense = np.zeros((1, ref.ncols), dtype=np.int64)
+        dense[0, keys.columns(keys.of(list(prod.terms)))] = list(prod.terms.values())
+        assert not ref.reduce_block(dense).any(), p
