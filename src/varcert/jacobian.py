@@ -9,18 +9,21 @@ intersection quotient with the standard Hilbert series.
 
 Most degrees are not eliminated from their ideal matrix.  In every degree
 above d-1 the ideal is S_1 times its piece one degree lower, so R_{q+1} is
-(n+1) copies of R_q modulo the relations x_k m = x_j m', and a relation
-matrix (n+1) dim R_q columns wide gives degree q+1, smooth form or not.
-Its echelon yields the normal form of every degree-(q+1) monomial in a
-basis of products x_k b of R_{q+1}, which is all the next step, dim R_{q+1}
-and a multiplication map into R_{q+1} need (Matrix-F5's incremental step,
-Bardet-Faugere-Salvy 2015).  An ideal step keeps the same pair, normal
-forms and basis monomials, in the standard monomials its echelon leaves
-free.  The chain is taken wherever it is narrower than the ideal matrix,
-which for a smooth form covers the degrees from a little past the middle
-up to socle+1, whose relation matrix is n+1 columns wide.  The
-complete-intersection series bounds every rank from above, which lets the
-elimination stop reading rows early.
+the span of the products x_k b of the variables and a basis of R_q modulo
+the relations x_k m = x_j m', and a relation matrix with one column per
+distinct product monomial gives degree q+1, smooth form or not.  Its
+echelon yields the normal form of every degree-(q+1) monomial in a basis
+of products x_k b of R_{q+1}, which is all the next step, dim R_{q+1} and a
+multiplication map into R_{q+1} need (Matrix-F5's incremental step,
+Bardet-Faugere-Salvy 2015, with F4's monomial-indexed columns, Faugere
+1999).  An ideal step keeps the same pair, normal forms and basis
+monomials, in the standard monomials its echelon leaves free.  The chain
+starts at the first degree q >= d-1 where (n+1) dim R_q is below the
+ideal matrix's width (the product columns are never more), which for a
+smooth form is a little past the middle; it runs up to socle+1, whose
+relation matrix is at most n+1 columns wide.  The complete-intersection
+series bounds every rank from above, which lets the elimination stop
+reading rows early.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -122,27 +126,34 @@ class _IdealRows(RowArrays):
 class _RelationRows(RowArrays):
     """The rows x_k (x) [m] - x_j (x) [m'] of a relation matrix, one per
     pair of positions a = k * M + m, b = j * M + m' (M the number of
-    degree-q monomials), with the normal forms nf of the degree-q monomials
-    in a basis of R_q (f columns) at columns k*f.. and j*f...  Rows are
-    built on each request, so the rows after rref's early stop are never
-    built."""
+    degree-q monomials).  Its columns are the distinct products of a
+    variable and a basis monomial of R_q, `products` in column order, and
+    x_k (x) [m] is the normal form nf[m] of m in that basis (f columns) at
+    the columns ucol[k] of the products x_k b_0..x_k b_{f-1}.  No two
+    entries of one half share a column, but the two halves may, so a row is
+    written into a dense block and its second half subtracted mod p; a row
+    joining two basis monomials comes out empty.  Rows are built on each
+    request, so the rows after rref's early stop are never built."""
 
-    def __init__(self, nf: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
+    def __init__(self, nf: np.ndarray, products: np.ndarray, ucol: np.ndarray,
+                 a: np.ndarray, b: np.ndarray, p: int):
         self._nf, self._a, self._b, self._p = nf, a, b, p
+        self.products, self.ucol = products, ucol
 
     def __len__(self) -> int:
         return self._a.size
 
     def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        (m, f), a, b = self._nf.shape, self._a[lo:hi], self._b[lo:hi]
-        span = np.arange(f)
-        cols = np.concatenate([(a // m)[:, None] * f + span,
-                               (b // m)[:, None] * f + span], axis=1)
-        vals = np.concatenate([self._nf[a % m], -self._nf[b % m] % self._p], axis=1)
-        nonzero = vals != 0
+        m, a, b = self._nf.shape[0], self._a[lo:hi], self._b[lo:hi]
+        rows = np.arange(a.size)[:, None]
+        block = np.zeros((a.size, self.products.size), dtype=np.int64)
+        block[rows, self.ucol[a // m]] = self._nf[a % m]
+        second = rows, self.ucol[b // m]
+        block[second] = (block[second] - self._nf[b % m]) % self._p
+        rix, cols = np.nonzero(block)
         indptr = np.zeros(a.size + 1, dtype=np.int64)
-        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
-        return indptr, cols[nonzero], vals[nonzero]
+        np.cumsum(np.count_nonzero(block, axis=1), out=indptr[1:])
+        return indptr, cols, block[rix, cols]
 
 
 class JacobianRing:
@@ -161,8 +172,9 @@ class JacobianRing:
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
-        # degree -> (normal forms of its monomials, columns of its basis monomials)
-        self._pieces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # degree -> (normal forms of its monomials, or None for the identity
+        # below d-1, and the columns of its basis monomials)
+        self._pieces: dict[int, tuple[Optional[np.ndarray], np.ndarray]] = {}
         self._stages: dict[int, dict] = {}
 
     def _ci_dim(self, p: int) -> int:
@@ -195,20 +207,24 @@ class JacobianRing:
         `_step`); 0 in negative degree."""
         if p >= 0 and p not in self._pieces:
             self._step(p)
-        return self._pieces[p][0].shape[1] if p >= 0 else 0
+        return self._pieces[p][1].size if p >= 0 else 0
 
     def normal_forms(self, p: int) -> np.ndarray:
         """The C(n+p, n) x dim R_p array of the degree-p monomials' normal
-        forms, in the basis of R_p that `quotient_basis(p)` lists."""
+        forms, in the basis of R_p that `quotient_basis(p)` lists.  Below
+        degree d-1 the ideal is empty and this is the identity, built on
+        each request rather than kept."""
         self.graded_dim(p)
-        return self._pieces[p][0]
+        nf, basis = self._pieces[p]
+        return np.eye(basis.size, dtype=np.int64) if nf is None else nf
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 when
         they are narrower than the degree-p ideal matrix, otherwise from
         that matrix.  Either keeps the normal forms of the degree-p
-        monomials and the columns of the basis monomials, and the stage;
-        normal forms over ENGINE_BYTES_LIMIT are refused."""
+        monomials (none below d-1, where they are the identity) and the
+        columns of the basis monomials, and the stage; normal forms over
+        ENGINE_BYTES_LIMIT are refused, kept or not."""
         self._check_columns(p)
         relation = self._relation_route(p - 1)
         t0 = time.perf_counter()
@@ -219,19 +235,21 @@ class JacobianRing:
             mat = self.ideal_matrix(p)
             e = rref(mat)
             _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
-            nf, basis, rank = e.normal_forms(), np.array(e.free_columns(), dtype=np.int64), e.rank
+            nf = e.normal_forms() if p >= self.degree - 1 else None
+            basis, rank = np.array(e.free_columns(), dtype=np.int64), e.rank
         self._pieces[p] = nf, basis
         self._stages[p] = {
             "degree": p, "route": "relation" if relation else "ideal",
             "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
-            "rank": rank, "dim": nf.shape[1],
+            "rank": rank, "dim": basis.size,
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
 
     def _relation_route(self, q: int) -> bool:
         """Whether degree q+1 comes from the relations of degree q: q >= d-1
-        and (n+1) dim R_q < C(n+q+1, n), so the relation matrix has fewer
-        columns than the ideal matrix.  dim R_q >= CI_q settles most low
-        degrees without eliminating degree q."""
+        and (n+1) dim R_q < C(n+q+1, n).  This decides where the chain
+        starts; the relation matrix has at most (n+1) dim R_q columns, so
+        from there on it is narrower than the ideal matrix.  dim R_q >= CI_q
+        settles most low degrees without eliminating degree q."""
         cols = monomial_count(self.n, q + 1)
         if q < self.degree - 1 or (self.n + 1) * self._ci_dim(q) >= cols:
             return False
@@ -243,31 +261,36 @@ class JacobianRing:
         The ideal is generated in degree d-1, so I_{q+1} = S_1 I_q and
         R_{q+1} = (S_1 (x) R_q) / K, with K spanned by x_k (x) [m] -
         x_j (x) [m'] over the pairs x_k m = x_j m' of degree-q monomials.
-        Written in the basis of R_q that `normal_forms(q)` uses, column
-        k*f + i for x_k (x) basis vector i (f = dim R_q), one row per
-        consecutive pair of representations of a degree-(q+1) monomial,
-        these span K, so dim R_{q+1} = (n+1) f - rank.  That is at least
-        CI_{q+1}, so the rank is at most (n+1) f - CI_{q+1}, the matrix's
-        rank bound.  Another basis of R_q multiplies the matrix on the right
-        by an invertible block-diagonal matrix, which keeps the rank of
-        every leading set of rows, so the rows rref reads do not depend on
-        the basis."""
+        In the basis b_0..b_{f-1} of R_q that `normal_forms(q)` uses,
+        x_k (x) b_i -> x_k b_i maps S_1 (x) R_q onto k^U_q, U_q the
+        distinct products x_k b_i, and its kernel, spanned by the
+        x_k (x) b - x_j (x) b' with x_k b = x_j b', lies in K.  So the
+        image of K gives R_{q+1} = k^U_q / K: one column per product in
+        U_q, in column order, and one row per consecutive pair of
+        representations of a degree-(q+1) monomial, and dim R_{q+1} =
+        |U_q| - rank.  That is at least CI_{q+1}, so the rank is at most
+        |U_q| - CI_{q+1}, the matrix's rank bound.  |U_q| <= (n+1) f, the
+        width with one column per pair (x_k, b_i), whose extra columns
+        only add the relations that join coinciding products."""
         if q < self.degree - 1:
             raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
-        order, pair, _ = _product_order(n, q)
-        rows = _RelationRows(self.normal_forms(q), order[:-1][pair], order[1:][pair], prime)
-        return FieldMatrix(prime, (n + 1) * f, rows,
-                           rank_bound=(n + 1) * f - self._ci_dim(q + 1))
+        order, pair, prods = _product_order(n, q)
+        products, ucol = np.unique(prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel(),
+                                   return_inverse=True)
+        rows = _RelationRows(self.normal_forms(q), products, ucol.reshape(n + 1, f),
+                             order[:-1][pair], order[1:][pair], prime)
+        return FieldMatrix(prime, products.size, rows,
+                           rank_bound=products.size - self._ci_dim(q + 1))
 
     def _check_chain_bytes(self, q: int, f: int) -> None:
         """Refuse, before allocating, a chain step from dim R_q = f whose
-        arrays would exceed ENGINE_BYTES_LIMIT: the relation matrix's CSR
-        arrays read whole, with their unfiltered copies (4 arrays of nrows x
-        2f), T ((n+1) f x g), NF_{q+1} and the products that fill it
-        (C(n+q+1, n) x g each), where g bounds dim R_{q+1}."""
+        arrays would exceed ENGINE_BYTES_LIMIT: the relation rows, counted
+        as 4 arrays of nrows x 2f (rref builds them 32 at a time, at most
+        (n+1) f wide), T (at most (n+1) f x g), NF_{q+1} and the products
+        that fill it (C(n+q+1, n) x g each), where g bounds dim R_{q+1}."""
         cols = monomial_count(self.n, q + 1)
         nrows = (self.n + 1) * monomial_count(self.n, q) - cols
         g = min((self.n + 1) * f, cols)
@@ -276,30 +299,26 @@ class JacobianRing:
 
     def _next_normal_forms(self, q: int, rel: FieldMatrix) -> tuple[np.ndarray, np.ndarray, int]:
         """NF_{q+1}, the normal forms of the degree-(q+1) monomials, the
-        columns of their basis monomials and the rank of the relation matrix.
+        columns of their basis monomials and the rank of rel, the relation
+        matrix of degree q.
 
-        With E = rref(rel), T = E.normal_forms() maps x_k (x) basis vector
-        i of R_q to R_{q+1} in the basis of E's free columns, so the normal
-        form of a degree-(q+1) monomial x_k m is NF_q[m] @ T_k (T_k the
-        rows of x_k).  Free column k*f + i is the class of x_k b_i, b_i the
-        i-th basis monomial of R_q, so those products are the new basis
-        monomials; two of them cannot be equal, for their difference is a
-        relation."""
-        prime, nf, basis = self.field.p, self.normal_forms(q), self._pieces[q][1]
-        m, f = nf.shape
+        With E = rref(rel), T = E.normal_forms() maps each product in U_q
+        to R_{q+1} in the basis of E's free columns, so the normal form of
+        a degree-(q+1) monomial x_k m is NF_q[m] @ T[ucol[k]], the rows of
+        the products x_k b.  E's free columns are distinct products, so
+        they are the new basis monomials."""
+        prime, nf = self.field.p, self.normal_forms(q)
+        m = nf.shape[0]
         er = rref(rel)
         t = er.normal_forms()
-        g = t.shape[1]
-        order, pair, prods = _product_order(self.n, q)
+        order, pair, _ = _product_order(self.n, q)
         heads = order[np.concatenate([[True], ~pair])]  # first representations
-        cols = monomial_count(self.n, q + 1)
-        nf_next = np.empty((cols, g), dtype=np.int64)
+        nf_next = np.empty((monomial_count(self.n, q + 1), t.shape[1]), dtype=np.int64)
         for k in range(self.n + 1):
             at = np.flatnonzero(heads // m == k)
             if at.size:
-                nf_next[at] = matmul_modp(nf[heads[at] % m], t[k * f:(k + 1) * f], prime)
-        free = np.array(er.free_columns(), dtype=np.int64)
-        return nf_next, prods[free // f * m + basis[free % f]], er.rank
+                nf_next[at] = matmul_modp(nf[heads[at] % m], t[rel.rows.ucol[k]], prime)
+        return nf_next, rel.rows.products[list(er.free_columns())], er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
         """The monomials whose classes are the basis of R_p that
@@ -314,7 +333,7 @@ class JacobianRing:
 
     def known_dims(self) -> dict[int, int]:
         """The dims of the degrees this ring has eliminated, one per stage."""
-        return {p: nf.shape[1] for p, (nf, _) in self._pieces.items()}
+        return {p: basis.size for p, (_, basis) in self._pieces.items()}
 
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route

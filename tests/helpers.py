@@ -1,10 +1,13 @@
 """Helpers only the tests call: a writer for the matrix dump format that
-`rank-oracle` reads, and the injectivity-descent property behind C7."""
+`rank-oracle` reads, the injectivity-descent property behind C7, and the
+relation matrix with one column per pair (variable, basis monomial)."""
+
+import numpy as np
 
 from varcert.exactla import FieldMatrix
 from varcert.jacobian import JacobianRing
 from varcert.lefschetz import mult_map
-from varcert.polyring import HomogeneousForm
+from varcert.polyring import HomogeneousForm, Monomial, enumerate_monomials
 
 
 def dump_matrix(mat: FieldMatrix, path) -> None:
@@ -26,3 +29,35 @@ def injectivity_descends(ring: JacobianRing, ell: HomogeneousForm) -> bool:
     if not top.is_injective():
         raise ValueError("precondition: x l must be injective into degree d")
     return all(mult_map(ring, ell, p).is_injective() for p in range(1, d + 1))
+
+
+def times_variable(m: Monomial, k: int) -> Monomial:
+    return m[:k] + (m[k] + 1,) + m[k + 1:]
+
+
+def product_monomials(n: int, q: int, basis) -> list[Monomial]:
+    """The distinct products x_k b of a variable and a degree-q monomial
+    of basis, in the column order of the degree-(q+1) monomials."""
+    prods = {times_variable(b, k) for b in basis for k in range(n + 1)}
+    return [u for u in enumerate_monomials(n, q + 1) if u in prods]
+
+
+def pair_relation_matrix(ring: JacobianRing, q: int) -> FieldMatrix:
+    """The relations x_k (x) [m] - x_j (x) [m'] of degree q with one column
+    per pair (x_k, basis vector i of R_q), column k*f + i, in the basis of
+    `ring.normal_forms(q)`: one row per consecutive pair x_k < x_j of the
+    variables dividing a degree-(q+1) monomial u, m = u / x_k and
+    m' = u / x_j, with the monomials u in column order.  No rank bound."""
+    n, p = ring.n, ring.field.p
+    nf = ring.normal_forms(q)
+    f = nf.shape[1]
+    row_of = {m: j for j, m in enumerate(enumerate_monomials(n, q))}
+    pairs = []
+    for u in enumerate_monomials(n, q + 1):
+        reps = [(k, row_of[u[:k] + (u[k] - 1,) + u[k + 1:]]) for k in range(n + 1) if u[k]]
+        pairs.extend(a + b for a, b in zip(reps, reps[1:]))
+    out = np.zeros((len(pairs), (n + 1) * f), dtype=np.int64)
+    for r, (k, a, j, b) in enumerate(pairs):
+        out[r, k * f:(k + 1) * f] = nf[a]
+        out[r, j * f:(j + 1) * f] = -nf[b] % p
+    return FieldMatrix.from_array(p, out)

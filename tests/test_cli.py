@@ -320,6 +320,15 @@ def test_size_guard_exit_5(capsys):
     assert err.startswith("refused:") and err.count("\n") == 1
 
 
+def test_low_degree_size_guard_keeps_its_refusal(capsys):
+    # degrees 0..7 below d-1 keep no identity normal forms; degree 8 is
+    # still refused by the bytes its identity would take
+    code, out, err = run(capsys, "hilbert", "--fermat", "8", "30")
+    assert (code, out) == (5, "")
+    assert err == ("refused: degree-8 ideal step needs 1325095200 bytes, "
+                   "over the 1073741824 limit\n")
+
+
 SINGULAR_QUARTIC = "x0^2*x1^2 + x1^4 + x2^4 + x3^4"
 
 

@@ -1,10 +1,12 @@
 """Jacobian ring graded pieces, smoothness certificates, Hilbert series."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import pair_relation_matrix, product_monomials, times_variable
 from varcert.exactla import FieldMatrix, SizeGuardExceeded, matmul_modp, rref
 from varcert.jacobian import (
     CharacteristicError,
@@ -318,21 +320,47 @@ def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, sm
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
 @pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_relation_rank_gives_the_next_graded_dim(label, n, d, text, smooth, prime):
-    # dim R_{q+1} = (n+1) dim R_q - rank(Rel) for every q >= d-1, singular
-    # forms included; checked up to the socle and one degree past it with
-    # the unstopped rank, which must also respect the bound (n+1) f_q -
-    # CI_{q+1}
+    # the relation matrix has one column per distinct product x_k b of a
+    # variable and a basis monomial of R_q, and dim R_{q+1} = ncols -
+    # rank(Rel) for every q >= d-1, singular forms included; checked up to
+    # the socle and one degree past it with the unstopped rank, which must
+    # also respect the bound ncols - CI_{q+1}
     ring = route_ring(n, d, text, prime)
     ci = ci_hilbert_coefficients(n, d) + [0, 0]
     for q in range(d - 1, ring.socle + 2):
         rel = ring.relation_matrix(q)
-        assert rel.ncols == (n + 1) * ring.graded_dim(q)
+        assert rel.ncols == len(product_monomials(n, q, ring.quotient_basis(q))), q
         assert rel.rank_bound == rel.ncols - ci[q + 1]
         full = rref(unbounded(rel)).rank
         assert rel.ncols - full == ring.graded_dim(q + 1), q
         assert full <= rel.rank_bound
     with pytest.raises(ValueError):
         ring.relation_matrix(d - 2)
+
+
+@pytest.mark.parametrize("prime", ROUTE_PRIMES)
+@pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smooth, prime):
+    # summing the columns of the pair-indexed relation matrix whose
+    # products x_k b_i coincide gives exactly the rows of
+    # relation_matrix(q); the columns merged away take with them the rank
+    # of the relations joining coinciding products, one per merged column
+    ring = route_ring(n, d, text, prime)
+    for q in range(d - 1, ring.socle + 2):
+        basis = ring.quotient_basis(q)
+        f = len(basis)
+        pairs = pair_relation_matrix(ring, q)
+        products = product_monomials(n, q, basis)
+        column = {u: c for c, u in enumerate(products)}
+        dense = pairs.to_dense()
+        merged = np.zeros((pairs.nrows, len(products)), dtype=np.int64)
+        for k in range(n + 1):
+            for i, b in enumerate(basis):
+                c = column[times_variable(b, k)]
+                merged[:, c] = (merged[:, c] + dense[:, k * f + i]) % prime
+        rel = ring.relation_matrix(q)
+        assert np.array_equal(rel.to_dense(), merged), q
+        assert rref(pairs).rank == rref(unbounded(rel)).rank + (n + 1) * f - len(products), q
 
 
 def ideal_matrices_built_by_certificate(monkeypatch, n, d, text, smooth):
@@ -413,7 +441,8 @@ def test_relation_step_size_guard_refuses_before_allocating(monkeypatch):
 def test_ideal_step_size_guard_refuses_the_normal_forms(monkeypatch):
     # an ideal step keeps a C(n+p, n) x dim R_p array of normal forms: for
     # degree 3 of a (3,4) form 20 x 16 int64, 2560 bytes; below the degree
-    # d-1 the ideal is empty and that array is the whole identity
+    # d-1 the ideal is empty, that array is the whole identity and its bytes
+    # are counted though it is built only when asked for
     import varcert.jacobian as jacobian
     ring = fermat_ring(3, 4, F)
     assert ring.graded_dim(2) == 10
@@ -423,6 +452,21 @@ def test_ideal_step_size_guard_refuses_the_normal_forms(monkeypatch):
     assert [st["degree"] for st in ring.stages()] == [2]
     monkeypatch.undo()
     assert ring.graded_dim(3) == 16
+
+
+def test_degrees_below_d_minus_1_keep_no_normal_forms():
+    # below d-1 the ideal is empty: degree 7 of a (8,30) Fermat form has
+    # 6435 monomials, whose identity normal forms (331 MB) are not kept,
+    # only built when asked for
+    ring = fermat_ring(8, 30, F)
+    tracemalloc.start()
+    try:
+        assert ring.graded_dim(7) == monomial_count(8, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert np.array_equal(ring.normal_forms(2), np.eye(monomial_count(8, 2), dtype=np.int64))
 
 
 def test_column_limit_applies_to_relation_degrees(monkeypatch):
