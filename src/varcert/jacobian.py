@@ -17,13 +17,15 @@ of products x_k b of R_{q+1}, which is all the next step, dim R_{q+1} and a
 multiplication map into R_{q+1} need (Matrix-F5's incremental step,
 Bardet-Faugere-Salvy 2015, with F4's monomial-indexed columns, Faugere
 1999).  An ideal step keeps the same pair, normal forms and basis
-monomials, in the standard monomials its echelon leaves free.  The chain
-starts at the first degree q >= d-1 where (n+1) dim R_q is below the
-ideal matrix's width (the product columns are never more), which for a
-smooth form is a little past the middle; it runs up to socle+1, whose
-relation matrix is at most n+1 columns wide.  The complete-intersection
-series bounds every rank from above, which lets the elimination stop
-reading rows early.
+monomials, in the standard monomials its echelon leaves free.  Degrees up
+to d-1 are ideal steps, the last of them the n+1 partials; the chain
+starts at d-1 and runs up to socle+1, whose relation matrix is at most n+1
+columns wide.  The relation matrices order their columns by descending
+degrevlex, so each relation degree's basis is its degrevlex standard
+monomials, the order in which generic initial ideals behave best
+(Bayer-Stillman 1987), and the products of a basis stay few.  The
+complete-intersection series bounds every rank from above, which lets the
+elimination stop reading rows early.
 """
 
 from __future__ import annotations
@@ -219,14 +221,16 @@ class JacobianRing:
         return np.eye(basis.size, dtype=np.int64) if nf is None else nf
 
     def _step(self, p: int) -> None:
-        """Eliminate degree p once: from the relations of degree p-1 when
-        they are narrower than the degree-p ideal matrix, otherwise from
-        that matrix.  Either keeps the normal forms of the degree-p
-        monomials (none below d-1, where they are the identity) and the
-        columns of the basis monomials, and the stage; normal forms over
-        ENGINE_BYTES_LIMIT are refused, kept or not."""
+        """Eliminate degree p once: from the relations of degree p-1 for
+        p >= d, otherwise from the degree-p ideal matrix.  Either keeps the
+        normal forms of the degree-p monomials (none below d-1, where they
+        are the identity) and the columns of the basis monomials, and the
+        stage; normal forms over ENGINE_BYTES_LIMIT are refused, kept or
+        not."""
         self._check_columns(p)
-        relation = self._relation_route(p - 1)
+        relation = p >= self.degree
+        if relation:
+            self.graded_dim(p - 1)  # the degree below is its own stage
         t0 = time.perf_counter()
         if relation:
             mat = self.relation_matrix(p - 1)
@@ -244,17 +248,6 @@ class JacobianRing:
             "rank": rank, "dim": basis.size,
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
 
-    def _relation_route(self, q: int) -> bool:
-        """Whether degree q+1 comes from the relations of degree q: q >= d-1
-        and (n+1) dim R_q < C(n+q+1, n).  This decides where the chain
-        starts; the relation matrix has at most (n+1) dim R_q columns, so
-        from there on it is narrower than the ideal matrix.  dim R_q >= CI_q
-        settles most low degrees without eliminating degree q."""
-        cols = monomial_count(self.n, q + 1)
-        if q < self.degree - 1 or (self.n + 1) * self._ci_dim(q) >= cols:
-            return False
-        return (self.n + 1) * self.graded_dim(q) < cols
-
     def relation_matrix(self, q: int) -> FieldMatrix:
         """The relations that give R_{q+1} from R_q, for q >= d-1.
 
@@ -266,20 +259,28 @@ class JacobianRing:
         distinct products x_k b_i, and its kernel, spanned by the
         x_k (x) b - x_j (x) b' with x_k b = x_j b', lies in K.  So the
         image of K gives R_{q+1} = k^U_q / K: one column per product in
-        U_q, in column order, and one row per consecutive pair of
-        representations of a degree-(q+1) monomial, and dim R_{q+1} =
-        |U_q| - rank.  That is at least CI_{q+1}, so the rank is at most
-        |U_q| - CI_{q+1}, the matrix's rank bound.  |U_q| <= (n+1) f, the
-        width with one column per pair (x_k, b_i), whose extra columns
-        only add the relations that join coinciding products."""
+        U_q, in descending degrevlex order (x0 > ... > xn), and one row per
+        consecutive pair of representations of a degree-(q+1) monomial, and
+        dim R_{q+1} = |U_q| - rank.  That is at least CI_{q+1}, so the rank
+        is at most |U_q| - CI_{q+1}, the matrix's rank bound.  |U_q| <=
+        (n+1) f, the width with one column per pair (x_k, b_i), whose extra
+        columns only add the relations that join coinciding products.
+
+        rref's pivots are leftmost, so the free columns are the products
+        that are no degrevlex leading monomial of I_{q+1}.  When the basis
+        of R_q is its degrevlex standard monomials, U_q holds every standard
+        monomial of degree q+1 (they are closed under division), so the
+        basis of R_{q+1} is its degrevlex standard monomials in turn."""
         if q < self.degree - 1:
             raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
         order, pair, prods = _product_order(n, q)
-        products, ucol = np.unique(prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel(),
+        cols = prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel()
+        _, first, ucol = np.unique(_degrevlex_rank(n, q + 1)[cols], return_index=True,
                                    return_inverse=True)
+        products = cols[first]
         rows = _RelationRows(self.normal_forms(q), products, ucol.reshape(n + 1, f),
                              order[:-1][pair], order[1:][pair], prime)
         return FieldMatrix(prime, products.size, rows,
@@ -324,7 +325,9 @@ class JacobianRing:
         """The monomials whose classes are the basis of R_p that
         `normal_forms(p)` uses, in its column order: the standard monomials
         an ideal step's echelon leaves free, or the products x_k b a
-        relation step's echelon leaves free."""
+        relation step's echelon leaves free, in descending degrevlex; for
+        a form whose degree-d basis is its degrevlex standard monomials,
+        every relation degree's basis is."""
         if p < 0:
             return ()
         self.graded_dim(p)
@@ -359,6 +362,19 @@ class JacobianRing:
                 raise HilbertMismatch(
                     f"certified smooth but dims {dims} != series {expected}")
         return dims
+
+
+@functools.lru_cache(maxsize=None)
+def _degrevlex_rank(n: int, p: int) -> np.ndarray:
+    """The position of each degree-p monomial column in descending degrevlex
+    order (x0 > ... > xn).  On one degree that is the ascending order of the
+    reversed exponents (e_n, ..., e_0), so one mixed-radix key with x_n most
+    significant sorts it.  Kept per (n, p) and read-only."""
+    mons = np.array(enumerate_monomials(n, p), dtype=np.int64).reshape(-1, n + 1)
+    rank = np.empty(len(mons), dtype=np.int64)
+    rank[np.argsort(mons @ (p + 1) ** np.arange(n + 1, dtype=np.int64))] = np.arange(len(mons))
+    rank.setflags(write=False)
+    return rank
 
 
 @functools.lru_cache(maxsize=None)

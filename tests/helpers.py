@@ -42,6 +42,13 @@ def product_monomials(n: int, q: int, basis) -> list[Monomial]:
     return [u for u in enumerate_monomials(n, q + 1) if u in prods]
 
 
+def degrevlex_descending(monomials) -> list[Monomial]:
+    """Monomials of one degree in descending degrevlex order (x0 > ... > xn):
+    of two, the larger has the smaller exponent at the last variable where
+    they differ."""
+    return sorted(monomials, key=lambda m: m[::-1])
+
+
 def pair_relation_matrix(ring: JacobianRing, q: int) -> FieldMatrix:
     """The relations x_k (x) [m] - x_j (x) [m'] of degree q with one column
     per pair (x_k, basis vector i of R_q), column k*f + i, in the basis of

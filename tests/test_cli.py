@@ -329,6 +329,22 @@ def test_low_degree_size_guard_keeps_its_refusal(capsys):
                    "over the 1073741824 limit\n")
 
 
+def test_fermat_6_6_is_refused_at_its_first_oversized_relation_step(capsys):
+    # the chain starts at the partials in degree 5 and reaches degree 8
+    # through two relation steps at most 1667 columns wide; the degree-8
+    # step's arrays are counted and refused before any is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "hilbert", "--fermat", "6", "6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (5, "")
+    assert err == ("refused: degree-8 relation step needs 1276299024 bytes, "
+                   "over the 1073741824 limit\n")
+    assert peak < 1 << 28
+
+
 SINGULAR_QUARTIC = "x0^2*x1^2 + x1^4 + x2^4 + x3^4"
 
 
@@ -396,7 +412,7 @@ def test_stages_report_each_degree_and_its_route(capsys):
     assert code == 0
     stages = doc["timings_ms"]["stages"]
     assert [s["degree"] for s in stages] == list(range(3, 10))
-    assert [s["route"] for s in stages] == ["ideal"] * 3 + ["relation"] * 4
+    assert [s["route"] for s in stages] == ["ideal"] + ["relation"] * 6
     assert [s["dim"] for s in stages] == [16, 19, 16, 10, 4, 1, 0]
     for s in stages:
         rows, cols = s["shape"]
@@ -409,14 +425,15 @@ STAGE_KEYS = {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
 
 
 def test_timings_show_mirrored_degrees_and_one_record_per_stage(capsys):
-    # wlp on Fermat (3,4), socle 8: degrees 5..8 are read from 4..1, so no
-    # map reaches a relation degree (6..9); every stage, in wlp and in
-    # hilbert, records its one elimination and nothing else
+    # wlp on Fermat (3,4), socle 8: degrees 5..8 are read from 4..1, so the
+    # only map into a relation degree (4..9) is the one into degree 4; every
+    # stage, in wlp and in hilbert, records its one elimination and nothing
+    # else
     code, doc, _ = run_json(capsys, "wlp", "--fermat", "3", "4", "--prime", P)
     assert code == 0
     timings = doc["timings_ms"]
     assert timings["mirrored"] == [5, 6, 7, 8]
-    assert [s["degree"] for s in timings["stages"] if s["route"] == "relation"] == [6, 7, 8, 9]
+    assert [s["degree"] for s in timings["stages"] if s["route"] == "relation"] == [4, 5, 6, 7, 8, 9]
     assert all(set(s) == STAGE_KEYS for s in timings["stages"])
     code, doc, _ = run_json(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
     assert code == 0 and "mirrored" not in doc["timings_ms"]
@@ -428,4 +445,4 @@ def test_relation_step_over_the_byte_limit_exits_5(capsys, monkeypatch):
     monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)
     code, out, err = run(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
     assert code == 5 and out == ""
-    assert err.startswith("refused: degree-6 relation step")
+    assert err.startswith("refused: degree-5 relation step")

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import pair_relation_matrix, product_monomials, times_variable
+from helpers import (
+    degrevlex_descending,
+    pair_relation_matrix,
+    product_monomials,
+    times_variable,
+)
 from varcert.exactla import FieldMatrix, SizeGuardExceeded, matmul_modp, rref
 from varcert.jacobian import (
     CharacteristicError,
@@ -209,8 +214,8 @@ def test_dims_deterministic_across_instances():
 
 
 def test_each_degree_is_eliminated_once(monkeypatch):
-    # every degree is computed once: by its ideal matrix below the chain
-    # start, by exactly one relation matrix (of the degree below) from it on;
+    # every degree is computed once: by its ideal matrix up to d-1, by
+    # exactly one relation matrix (of the degree below) from d on;
     # each step is one rref, and quotient_basis reads what the step kept
     import varcert.jacobian as jacobian
     calls = []
@@ -237,10 +242,10 @@ def test_each_degree_is_eliminated_once(monkeypatch):
     ring.hilbert_function()
     for p in range(ring.socle + 2):
         ring.quotient_basis(p)
-    assert ideal == list(range(6))
-    assert relation == list(range(5, ring.socle + 1))
+    assert ideal == list(range(4))
+    assert relation == list(range(3, ring.socle + 1))
     assert len(calls) == len(ideal) + len(relation)
-    assert [s["route"] for s in ring.stages()] == ["ideal"] * 6 + ["relation"] * 4
+    assert [s["route"] for s in ring.stages()] == ["ideal"] * 4 + ["relation"] * 6
 
 
 ROUTE_PRIMES = [1048573, 8388617, (1 << 31) - 1, (1 << 62) - 57]
@@ -350,7 +355,10 @@ def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smo
         basis = ring.quotient_basis(q)
         f = len(basis)
         pairs = pair_relation_matrix(ring, q)
-        products = product_monomials(n, q, basis)
+        rel = ring.relation_matrix(q)
+        mons = enumerate_monomials(n, q + 1)
+        products = [mons[j] for j in rel.rows.products]
+        assert products == degrevlex_descending(product_monomials(n, q, basis)), q
         column = {u: c for c, u in enumerate(products)}
         dense = pairs.to_dense()
         merged = np.zeros((pairs.nrows, len(products)), dtype=np.int64)
@@ -358,9 +366,25 @@ def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smo
             for i, b in enumerate(basis):
                 c = column[times_variable(b, k)]
                 merged[:, c] = (merged[:, c] + dense[:, k * f + i]) % prime
-        rel = ring.relation_matrix(q)
         assert np.array_equal(rel.to_dense(), merged), q
         assert rref(pairs).rank == rref(unbounded(rel)).rank + (n + 1) * f - len(products), q
+
+
+@pytest.mark.parametrize("prime", ROUTE_PRIMES)
+@pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_relation_degrees_keep_the_degrevlex_normal_set(label, n, d, text, smooth, prime):
+    # a relation degree's basis is its degrevlex standard monomials: the
+    # free columns of one rref of the ideal matrix with its columns in
+    # descending degrevlex, whose leftmost pivots are the leading monomials
+    ring = route_ring(n, d, text, prime)
+    for q in range(d, ring.socle + 2):
+        mons = enumerate_monomials(n, q)
+        column = {m: j for j, m in enumerate(mons)}
+        order = degrevlex_descending(mons)
+        dense = ring.ideal_matrix(q).to_dense()[:, [column[m] for m in order]]
+        ref = rref(FieldMatrix.from_array(prime, dense))
+        standard = {order[j] for j in ref.free_columns()}
+        assert set(ring.quotient_basis(q)) == standard, q
 
 
 def ideal_matrices_built_by_certificate(monkeypatch, n, d, text, smooth):
@@ -381,9 +405,9 @@ def ideal_matrices_built_by_certificate(monkeypatch, n, d, text, smooth):
 
 
 def test_smoothness_certificate_skips_the_socle_successor_ideal_matrix(monkeypatch):
-    # a smooth (3,4) form builds one ideal matrix, degree 5, the last below
-    # the relation chain: (n+1) CI_4 = 76 >= C(8, 3) = 56 columns
-    assert ideal_matrices_built_by_certificate(monkeypatch, 3, 4, None, True) == [5]
+    # a smooth (3,4) form builds one ideal matrix, degree d-1 = 3, the n+1
+    # partials, where the relation chain starts
+    assert ideal_matrices_built_by_certificate(monkeypatch, 3, 4, None, True) == [3]
 
 
 def test_singular_form_builds_no_socle_ideal_matrix(monkeypatch):
@@ -391,7 +415,7 @@ def test_singular_form_builds_no_socle_ideal_matrix(monkeypatch):
     # singular form pays no socle or socle+1 ideal matrix either
     built = ideal_matrices_built_by_certificate(
         monkeypatch, 4, 4, "x0^2*x1^2 + x1^4 + x2^4 + x3^4 + x4^4", False)
-    assert built == [6]
+    assert built == [3]
 
 
 def test_relation_steps_keep_their_normal_forms(monkeypatch):
@@ -414,7 +438,7 @@ def test_relation_steps_keep_their_normal_forms(monkeypatch):
     assert len(calls) == len(stages)
     assert sorted(ring.known_dims()) == [st["degree"] for st in stages]
     relation = [st["degree"] for st in stages if st["route"] == "relation"]
-    assert relation == list(range(7, ring.socle + 2))
+    assert relation == list(range(4, ring.socle + 2))
     for st in stages:
         q = st["degree"]
         assert set(st) == {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
@@ -427,7 +451,7 @@ def test_relation_steps_keep_their_normal_forms(monkeypatch):
 def test_relation_step_size_guard_refuses_before_allocating(monkeypatch):
     import varcert.jacobian as jacobian
     ring = route_ring(3, 4, None, F.p)
-    ring.graded_dim(5)  # the last degree below the relation chain
+    ring.graded_dim(5)  # the degrees below, from relations too
     # the degree-6 step needs about 262 kB: Rel_5 is 140 x 64, dim R_5 = 16
     monkeypatch.setattr(jacobian, "ENGINE_BYTES_LIMIT", 10 ** 5)
     monkeypatch.setattr(jacobian, "_product_order",
@@ -483,10 +507,10 @@ def test_column_limit_applies_to_relation_degrees(monkeypatch):
 def test_certify_smooth_past_the_desk_scale_budget():
     # a seeded (5,4) form: a dense copy of its 12012 x 6188 socle ideal
     # matrix would take 595 MB; the chain eliminates ideal matrices
-    # up to degree 7 only, and relation matrices at most 756 columns wide
+    # up to degree 3 only, and relation matrices at most 319 columns wide
     ring = route_ring(5, 4, None, F.p)
     assert ring.certify_smooth()
     assert list(ring.hilbert_function()) == ci_hilbert_coefficients(5, 4) + [0]
     stages = ring.stages()
-    assert [st["route"] for st in stages] == ["ideal"] * 8 + ["relation"] * 6
-    assert max(st["shape"][1] for st in stages) == 792
+    assert [st["route"] for st in stages] == ["ideal"] * 4 + ["relation"] * 10
+    assert max(st["shape"][1] for st in stages) == 319
