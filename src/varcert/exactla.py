@@ -12,7 +12,7 @@ only to cross-check ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -90,24 +90,6 @@ class FieldMatrix:
         return len(self.rows)
 
     @classmethod
-    def from_rows(cls, p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
-        """Rows given as dicts from column to value; values are taken mod p
-        and zeros dropped."""
-        indptr, cols, vals = [0], [], []
-        for r in rows:
-            for j, v in r.items():
-                if not 0 <= j < ncols:
-                    raise ValueError(f"column {j} out of range for ncols={ncols}")
-                v %= p
-                if v:
-                    cols.append(j)
-                    vals.append(v)
-            indptr.append(len(cols))
-        return cls(p, ncols, CsrRows(np.array(indptr, dtype=np.int64),
-                                     np.array(cols, dtype=np.intp),
-                                     np.array(vals, dtype=np.int64)))
-
-    @classmethod
     def from_array(cls, p: int, a: np.ndarray) -> FieldMatrix:
         """The matrix of a 2-D int64 array with entries in [0, p)."""
         i, j = np.nonzero(a)
@@ -130,10 +112,6 @@ class FieldMatrix:
         out = np.zeros((self.nrows, self.ncols), dtype=dtype)
         out[np.repeat(np.arange(self.nrows), np.diff(indptr)), cols] = vals
         return out
-
-    def mul_vector(self, v: Sequence[int]) -> list[int]:
-        p = self.p
-        return [sum(c * v[j] for j, c in r.items()) % p for r in self.rows]
 
 
 class EchelonResult:
@@ -198,8 +176,11 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     taken kc at a time so that the up to nl GEMMs at one limb position s
     sum below 2^53, exactly.  Those sums are recombined by Horner's rule in
     Shoup products by 2^21 mod p and reduced once (delayed reduction,
-    Dumas-Giorgi-Pernet 2008), a few rows at a time."""
+    Dumas-Giorgi-Pernet 2008), a few rows at a time.  An empty product is
+    zeros at once."""
     (m, k), w = a.shape, b.shape[1]
+    if not (m and k and w):
+        return np.zeros((m, w), dtype=a.dtype)
     nl = max(1, -(-(p - 1).bit_length() // _LIMB))
     top = min(p - 1, (1 << _LIMB) - 1)  # the largest limb
     kc = max(1, ((1 << 53) - 1) // (nl * top * top))
@@ -385,27 +366,47 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Bring the rows of the uint64 array y to reduced echelon form; returns
     the pivot column of each nonzero row and those rows.  A pivot row clears
     its column unnormalized, with factors scaled by its pivot's inverse;
-    later pivots leave that entry alone, so rows are normalized at the end."""
-    p = int(zp.p)
+    later pivots leave that entry alone, so rows are normalized at the end.
+    Each update is applied to the whole slice y[:, j:] in place, so y is
+    overwritten.
+
+    A row takes at most one update per pivot, each of magnitude at most
+    (p-1)^2, so with nb rows and nb (p-1)^2 + p < 2^63 (p < 2^29 for a
+    32-row batch) the updates accumulate unreduced in int64 and are reduced
+    once at the end (delayed reduction, Dumas-Giorgi-Pernet 2008): only the
+    pivot row and the pivot column are reduced when read.  Above that bound
+    every update is reduced at once, in Shoup products."""
+    p, (nb, c) = int(zp.p), y.shape
+    deferred = nb * (p - 1) ** 2 + p < 1 << 63
+    if deferred:
+        y = y.view(np.int64)
+    step = max(1, _CHUNK // max(1, nb))
     lead, rows, invs = [], [], []
-    for i in range(y.shape[0]):
+    for i in range(nb):
+        if deferred:
+            y[i] %= p
         nz = np.flatnonzero(y[i])
         if not nz.size:
             continue
         j = int(nz[0])
         inv = pow(int(y[i, j]), -1, p)
-        f = y[:, j].tolist()
-        hit = [h for h, v in enumerate(f) if v and h != i]
-        if hit:
-            g = np.array([f[h] * inv % p for h in hit], dtype=np.uint64)[:, None]
-            step = max(1, _CHUNK // len(hit))
-            for a in range(j, y.shape[1], step):
-                y[hit, a:a + step] = zp.sub(y[hit, a:a + step],
-                                            zp.mulmod(y[i, a:a + step], g))
+        f = (y[:, j] % p if deferred else y[:, j]).tolist()
+        f[i] = 0
+        if any(f):
+            g = np.array([v * inv % p for v in f], dtype=y.dtype)[:, None]
+            gpre = None if deferred else zp.pre(g)
+            for a in range(j, c, step):
+                part, row = y[:, a:a + step], y[i, a:a + step]
+                if deferred:
+                    part -= g * row
+                else:
+                    part -= zp.mul(row, g, gpre)
+                    np.minimum(part, part + zp.p, out=part)
         lead.append(j)
         rows.append(i)
         invs.append(inv)
-    new = y[rows]
+    new = y[rows] % p if deferred else y[rows]
+    new = new.view(np.uint64)
     at, invs = np.nonzero(new), np.array(invs, dtype=np.uint64)
     for a in range(0, at[0].size, _CHUNK):
         ix = at[0][a:a + _CHUNK], at[1][a:a + _CHUNK]
@@ -470,7 +471,12 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Option
     v = [0] * mat.ncols
     v[free] = 1
     v[:free] = (-ech.free_block()[:free, 0] % p).tolist()
-    if any(x % p for x in mat.mul_vector(v)):
+    # one exact CSR product, in Python ints
+    indptr, cols, vals = mat.csr()
+    acc = np.zeros(mat.nrows, dtype=object)
+    np.add.at(acc, np.repeat(np.arange(mat.nrows), np.diff(indptr)),
+              vals.astype(object) * np.array(v, dtype=object)[cols])
+    if (acc % p).any():
         raise AssertionError("kernel witness failed exact verification")
     return v
 

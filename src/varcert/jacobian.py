@@ -11,21 +11,26 @@ Most degrees are not eliminated from their ideal matrix.  In every degree
 above d-1 the ideal is S_1 times its piece one degree lower, so R_{q+1} is
 the span of the products x_k b of the variables and a basis of R_q modulo
 the relations x_k m = x_j m', and a relation matrix with one column per
-distinct product monomial gives degree q+1, smooth form or not.  Its
-echelon yields the normal form of every degree-(q+1) monomial in a basis
-of products x_k b of R_{q+1}, which is all the next step, dim R_{q+1} and a
-multiplication map into R_{q+1} need (Matrix-F5's incremental step,
-Bardet-Faugere-Salvy 2015, with F4's monomial-indexed columns, Faugere
-1999).  An ideal step keeps the same pair, normal forms and basis
-monomials, in the standard monomials its echelon leaves free.  Degrees up
-to d-1 are ideal steps, the last of them the n+1 partials; the chain
-starts at d-1 and runs up to socle+1, whose relation matrix is at most n+1
-columns wide.  The relation matrices order their columns by descending
-degrevlex, so each relation degree's basis is its degrevlex standard
-monomials, the order in which generic initial ideals behave best
-(Bayer-Stillman 1987), and the products of a basis stay few.  The
-complete-intersection series bounds every rank from above, which lets the
-elimination stop reading rows early.
+distinct product monomial gives degree q+1, smooth form or not
+(Matrix-F5's incremental step, Bardet-Faugere-Salvy 2015, with F4's
+monomial-indexed columns, Faugere 1999).  Its echelon yields T, the normal
+forms of those products in a basis of products x_k b of R_{q+1}, and with
+it the multiplication maps M_k = T[ucol[k]] by each variable from R_q:
+that is what a relation degree keeps, with its basis monomials.  Any other
+degree-(q+1) monomial x_k m gets its normal form NF_q[m] @ M_k when the
+next step, a multiplication map or a caller first asks for it, composed
+through the degrees below and kept (FGLM's multiplication matrices,
+Faugere-Gianni-Lazard-Mora 1993); a relation step asks only for those of
+the monomials in the rows it builds.  An ideal step keeps the normal forms
+of all its monomials and its basis, the standard monomials its echelon
+leaves free.  Degrees up to d-1 are ideal steps, the last of them the n+1
+partials; the chain starts at d-1 and runs up to socle+1, whose relation
+matrix is at most n+1 columns wide.  The relation matrices order their
+columns by descending degrevlex, so each relation degree's basis is its
+degrevlex standard monomials, the order in which generic initial ideals
+behave best (Bayer-Stillman 1987), and the products of a basis stay few.
+The complete-intersection series bounds every rank from above, which lets
+the elimination stop reading rows early.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,32 +135,61 @@ class _RelationRows(RowArrays):
     pair of positions a = k * M + m, b = j * M + m' (M the number of
     degree-q monomials).  Its columns are the distinct products of a
     variable and a basis monomial of R_q, `products` in column order, and
-    x_k (x) [m] is the normal form nf[m] of m in that basis (f columns) at
+    x_k (x) [m] is the normal form NF_q[m] of m in that basis (f columns) at
     the columns ucol[k] of the products x_k b_0..x_k b_{f-1}.  No two
     entries of one half share a column, but the two halves may, so a row is
     written into a dense block and its second half subtracted mod p; a row
     joining two basis monomials comes out empty.  Rows are built on each
-    request, so the rows after rref's early stop are never built."""
+    request, and `forms` (the degree-q monomial columns -> their normal
+    forms) is asked for the rows of the monomials in the batch only, so
+    neither the rows after rref's early stop nor the normal forms they read
+    are ever built."""
 
-    def __init__(self, nf: np.ndarray, products: np.ndarray, ucol: np.ndarray,
-                 a: np.ndarray, b: np.ndarray, p: int):
-        self._nf, self._a, self._b, self._p = nf, a, b, p
+    def __init__(self, forms: Callable[[np.ndarray], np.ndarray], m: int, products: np.ndarray,
+                 ucol: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
+        self._forms, self._m, self._a, self._b, self._p = forms, m, a, b, p
         self.products, self.ucol = products, ucol
 
     def __len__(self) -> int:
         return self._a.size
 
     def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m, a, b = self._nf.shape[0], self._a[lo:hi], self._b[lo:hi]
+        m, a, b = self._m, self._a[lo:hi], self._b[lo:hi]
+        nf = self._forms(np.concatenate([a % m, b % m]))
         rows = np.arange(a.size)[:, None]
         block = np.zeros((a.size, self.products.size), dtype=np.int64)
-        block[rows, self.ucol[a // m]] = self._nf[a % m]
+        block[rows, self.ucol[a // m]] = nf[:a.size]
         second = rows, self.ucol[b // m]
-        block[second] = (block[second] - self._nf[b % m]) % self._p
+        block[second] = (block[second] - nf[a.size:]) % self._p
         rix, cols = np.nonzero(block)
         indptr = np.zeros(a.size + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(block, axis=1), out=indptr[1:])
         return indptr, cols, block[rix, cols]
+
+
+class _NormalForms:
+    """The normal forms, in the basis of R_p, of the degree-p monomials
+    asked for so far: one row of `rows` per monomial column in `at`, so
+    only the rows read are held.  An ideal step holds every row from the
+    start.  A relation degree starts from T, the normal forms of the
+    products U_{p-1} (the first `nu` rows), and `ucol`, the rows of T of
+    the products x_k b of each variable and basis monomial of R_{p-1}:
+    M_k = T[ucol[k]] is the multiplication map x_k: R_{p-1} -> R_p."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, ucol: Optional[np.ndarray] = None):
+        self.rows, self.ucol, self.nu = rows, ucol, rows.shape[0]
+        self.at = dict(zip(cols.tolist(), range(cols.size)))
+
+    def missing(self, cols: np.ndarray) -> np.ndarray:
+        """The distinct columns of cols that have no row yet, ascending."""
+        return np.array(sorted({c for c in cols.tolist() if c not in self.at}), dtype=np.int64)
+
+    def add(self, cols: np.ndarray, rows: np.ndarray) -> None:
+        self.at.update(zip(cols.tolist(), range(self.rows.shape[0], self.rows.shape[0] + cols.size)))
+        self.rows = np.concatenate([self.rows, rows])
+
+    def get(self, cols: np.ndarray) -> np.ndarray:
+        return self.rows[[self.at[c] for c in cols.tolist()]]
 
 
 class JacobianRing:
@@ -174,9 +208,9 @@ class JacobianRing:
         self.socle = (self.n + 1) * (self.degree - 2)
         self.partials = partial_derivatives(form)
         self._ci = ci_hilbert_coefficients(self.n, self.degree)
-        # degree -> (normal forms of its monomials, or None for the identity
-        # below d-1, and the columns of its basis monomials)
-        self._pieces: dict[int, tuple[Optional[np.ndarray], np.ndarray]] = {}
+        # degree -> (the normal forms of its monomials, or None for the
+        # identity below d-1, and the columns of its basis monomials)
+        self._pieces: dict[int, tuple[Optional[_NormalForms], np.ndarray]] = {}
         self._stages: dict[int, dict] = {}
 
     def _ci_dim(self, p: int) -> int:
@@ -211,21 +245,43 @@ class JacobianRing:
             self._step(p)
         return self._pieces[p][1].size if p >= 0 else 0
 
-    def normal_forms(self, p: int) -> np.ndarray:
-        """The C(n+p, n) x dim R_p array of the degree-p monomials' normal
-        forms, in the basis of R_p that `quotient_basis(p)` lists.  Below
-        degree d-1 the ideal is empty and this is the identity, built on
-        each request rather than kept."""
+    def normal_forms(self, p: int, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """The normal forms of the degree-p monomials at the columns cols
+        (all C(n+p, n) by default), one row each, in the basis of R_p that
+        `quotient_basis(p)` lists.  Below degree d-1 the ideal is empty and
+        these are rows of the identity, built on each request.  A relation
+        degree holds the rows of the products x_k b of its basis step and
+        forms any other x_k m on first request as NF_{p-1}[m] @ T[ucol[k]]
+        (k the least variable dividing it), asking degree p-1 for the rows of
+        those m, and keeps it: one exact product per request and degree
+        (Faugere-Gianni-Lazard-Mora 1993)."""
         self.graded_dim(p)
         nf, basis = self._pieces[p]
-        return np.eye(basis.size, dtype=np.int64) if nf is None else nf
+        cols = (np.arange(monomial_count(self.n, p)) if cols is None
+                else np.asarray(cols, dtype=np.int64))
+        if nf is None:
+            out = np.zeros((cols.size, basis.size), dtype=np.int64)
+            out[np.arange(cols.size), cols] = 1
+            return out
+        miss = nf.missing(cols)
+        if miss.size:
+            m = monomial_count(self.n, p - 1)
+            order, pair, _ = _product_order(self.n, p - 1)
+            first = order[np.concatenate([[True], ~pair])][miss]  # x_k m, k least
+            a = np.zeros((miss.size, nf.nu), dtype=np.int64)
+            a[np.arange(miss.size)[:, None], nf.ucol[first // m]] = \
+                self.normal_forms(p - 1, first % m)
+            nf.add(miss, matmul_modp(a, nf.rows[:nf.nu], self.field.p))
+        return nf.get(cols)
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 for
         p >= d, otherwise from the degree-p ideal matrix.  Either keeps the
-        normal forms of the degree-p monomials (none below d-1, where they
-        are the identity) and the columns of the basis monomials, and the
-        stage; normal forms over ENGINE_BYTES_LIMIT are refused, kept or
+        columns of the basis monomials, the stage and the normal forms: an
+        ideal step those of every degree-p monomial (none below d-1, where
+        they are the identity), a relation step those of its products,
+        from which `normal_forms` forms the rest on request.  An ideal
+        step's normal forms over ENGINE_BYTES_LIMIT are refused, kept or
         not."""
         self._check_columns(p)
         relation = p >= self.degree
@@ -239,7 +295,8 @@ class JacobianRing:
             mat = self.ideal_matrix(p)
             e = rref(mat)
             _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
-            nf = e.normal_forms() if p >= self.degree - 1 else None
+            nf = (_NormalForms(e.normal_forms(), np.arange(e.ncols))
+                  if p >= self.degree - 1 else None)
             basis, rank = np.array(e.free_columns(), dtype=np.int64), e.rank
         self._pieces[p] = nf, basis
         self._stages[p] = {
@@ -281,8 +338,9 @@ class JacobianRing:
         _, first, ucol = np.unique(_degrevlex_rank(n, q + 1)[cols], return_index=True,
                                    return_inverse=True)
         products = cols[first]
-        rows = _RelationRows(self.normal_forms(q), products, ucol.reshape(n + 1, f),
-                             order[:-1][pair], order[1:][pair], prime)
+        rows = _RelationRows(functools.partial(self.normal_forms, q), monomial_count(n, q),
+                             products, ucol.reshape(n + 1, f), order[:-1][pair],
+                             order[1:][pair], prime)
         return FieldMatrix(prime, products.size, rows,
                            rank_bound=products.size - self._ci_dim(q + 1))
 
@@ -291,35 +349,29 @@ class JacobianRing:
         arrays would exceed ENGINE_BYTES_LIMIT: the relation rows, counted
         as 4 arrays of nrows x 2f (rref builds them 32 at a time, at most
         (n+1) f wide), T (at most (n+1) f x g), NF_{q+1} and the products
-        that fill it (C(n+q+1, n) x g each), where g bounds dim R_{q+1}."""
+        that fill it (C(n+q+1, n) x g each), where g bounds dim R_{q+1}.
+        NF_{q+1} is now formed only for the monomials read, so the last two
+        terms overcount; they stay so that the same jobs are refused."""
         cols = monomial_count(self.n, q + 1)
         nrows = (self.n + 1) * monomial_count(self.n, q) - cols
         g = min((self.n + 1) * f, cols)
         _check_step_bytes(q + 1, "relation",
                           8 * (8 * nrows * f + (self.n + 1) * f * g + 2 * cols * g))
 
-    def _next_normal_forms(self, q: int, rel: FieldMatrix) -> tuple[np.ndarray, np.ndarray, int]:
-        """NF_{q+1}, the normal forms of the degree-(q+1) monomials, the
-        columns of their basis monomials and the rank of rel, the relation
-        matrix of degree q.
+    def _next_normal_forms(self, q: int,
+                           rel: FieldMatrix) -> tuple[_NormalForms, np.ndarray, int]:
+        """The normal forms of degree q+1 as kept, the columns of its basis
+        monomials and the rank of rel, the relation matrix of degree q.
 
         With E = rref(rel), T = E.normal_forms() maps each product in U_q
-        to R_{q+1} in the basis of E's free columns, so the normal form of
-        a degree-(q+1) monomial x_k m is NF_q[m] @ T[ucol[k]], the rows of
-        the products x_k b.  E's free columns are distinct products, so
-        they are the new basis monomials."""
-        prime, nf = self.field.p, self.normal_forms(q)
-        m = nf.shape[0]
+        to R_{q+1} in the basis of E's free columns; only T and ucol are
+        kept, and the normal form of any other degree-(q+1) monomial x_k m,
+        NF_q[m] @ T[ucol[k]], is formed when it is first asked for.  E's
+        free columns are distinct products, so they are the new basis
+        monomials."""
         er = rref(rel)
-        t = er.normal_forms()
-        order, pair, _ = _product_order(self.n, q)
-        heads = order[np.concatenate([[True], ~pair])]  # first representations
-        nf_next = np.empty((monomial_count(self.n, q + 1), t.shape[1]), dtype=np.int64)
-        for k in range(self.n + 1):
-            at = np.flatnonzero(heads // m == k)
-            if at.size:
-                nf_next[at] = matmul_modp(nf[heads[at] % m], t[rel.rows.ucol[k]], prime)
-        return nf_next, rel.rows.products[list(er.free_columns())], er.rank
+        nf = _NormalForms(er.normal_forms(), rel.rows.products, rel.rows.ucol)
+        return nf, rel.rows.products[list(er.free_columns())], er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
         """The monomials whose classes are the basis of R_p that

@@ -80,7 +80,7 @@ class GradedMap:
                                        self.ring.field)
         prod = multiply(self.h, g)
         keys = monomial_keys(self.ring.n, self.target_degree)
-        rows = self.ring.normal_forms(self.target_degree)[keys.columns(keys.of(list(prod.terms)))]
+        rows = self.ring.normal_forms(self.target_degree, keys.columns(keys.of(list(prod.terms))))
         coeffs = np.array([list(prod.terms.values())], dtype=np.int64)
         if matmul_modp(coeffs, rows, self.ring.field.p).any():
             raise AssertionError("kernel form fails h*G = 0 re-verification")
@@ -88,7 +88,14 @@ class GradedMap:
 
 
 def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
-    """The map x h into degree p; h must be homogeneous of degree >= 1."""
+    """The map x h into degree p; h must be homogeneous of degree >= 1.
+
+    Row i of its transpose is sum_t h_t NF_p[b_i t] over the terms t of h
+    and the basis b_i of R_{p-e}, one exact product over the distinct
+    monomials b_i t, whose normal forms are all it asks the ring for.  For
+    a linear h those are the products x_k b_i, so the map is sum_k h_k M_k
+    with M_k = T[ucol[k]] in a relation degree, and no normal form needs
+    composing."""
     e = h.degree
     a = p - e
     if e < 1 or a < 0:
@@ -96,12 +103,13 @@ def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
     if h.n != ring.n or h.field.p != ring.field.p:
         raise DegreeMismatch("multiplier lives in a different ring")
     source_basis = ring.quotient_basis(a)
-    nf = ring.normal_forms(p)
     keys = monomial_keys(ring.n, p)
     cols = keys.columns(keys.of(source_basis)[:, None] + keys.of(list(h.terms)))
-    block = np.zeros((len(source_basis), nf.shape[0]), dtype=np.int64)
+    mons, at = np.unique(cols, return_inverse=True)
+    block = np.zeros((len(source_basis), mons.size), dtype=np.int64)
     # distinct terms of h land in distinct columns of each row
-    block[np.arange(len(source_basis))[:, None], cols] = list(h.terms.values())
+    block[np.arange(len(source_basis))[:, None], at.reshape(cols.shape)] = list(h.terms.values())
+    nf = ring.normal_forms(p, mons)
     mat = FieldMatrix.from_array(ring.field.p, matmul_modp(block, nf, ring.field.p).T)
     return GradedMap(ring, h, a, p, mat, rref(mat))
 

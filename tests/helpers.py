@@ -1,13 +1,39 @@
-"""Helpers only the tests call: a writer for the matrix dump format that
-`rank-oracle` reads, the injectivity-descent property behind C7, and the
-relation matrix with one column per pair (variable, basis monomial)."""
+"""Helpers only the tests call: matrices from dict rows and their product
+with a vector, a writer for the matrix dump format that `rank-oracle`
+reads, the injectivity-descent property behind C7, and the relation matrix
+with one column per pair (variable, basis monomial)."""
+
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from varcert.exactla import FieldMatrix
+from varcert.exactla import CsrRows, FieldMatrix
 from varcert.jacobian import JacobianRing
 from varcert.lefschetz import mult_map
 from varcert.polyring import HomogeneousForm, Monomial, enumerate_monomials
+
+
+def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
+    """The matrix of rows given as dicts from column to value; values are
+    taken mod p and zeros dropped."""
+    indptr, cols, vals = [0], [], []
+    for r in rows:
+        for j, v in r.items():
+            if not 0 <= j < ncols:
+                raise ValueError(f"column {j} out of range for ncols={ncols}")
+            v %= p
+            if v:
+                cols.append(j)
+                vals.append(v)
+        indptr.append(len(cols))
+    return FieldMatrix(p, ncols, CsrRows(np.array(indptr, dtype=np.int64),
+                                         np.array(cols, dtype=np.intp),
+                                         np.array(vals, dtype=np.int64)))
+
+
+def mul_vector(mat: FieldMatrix, v: Sequence[int]) -> list[int]:
+    """mat @ v mod p, in Python ints, one dict row at a time."""
+    return [sum(c * v[j] for j, c in r.items()) % mat.p for r in mat.rows]
 
 
 def dump_matrix(mat: FieldMatrix, path) -> None:

@@ -12,10 +12,10 @@ import random
 import time
 
 from conftest import CORPUS_SHAPES, PRIME_A, PRIME_B
-from helpers import injectivity_descends
+from helpers import from_rows, injectivity_descends
 
 from varcert.cli import main as cli_main
-from varcert.exactla import FieldMatrix, dense_rank_oracle, rref
+from varcert.exactla import dense_rank_oracle, rref
 from varcert.jacobian import ci_hilbert_coefficients, fermat_ring
 from varcert.lefschetz import certify_general_max_rank, mult_map, wlp_sweep
 from varcert.polyring import HomogeneousForm, PrimeField, variable
@@ -112,7 +112,7 @@ def test_c5_echelon_rank_agrees_with_dense_oracle(corpus_flat):
         p = rng.choice([5, 10007, PRIME_A, PRIME_B])
         rows = [{j: rng.randrange(1, p) for j in range(c) if rng.random() < density}
                 for _ in range(r)]
-        mat = FieldMatrix.from_rows(p, c, rows)
+        mat = from_rows(p, c, rows)
         if rref(mat).rank != dense_rank_oracle(mat):
             mismatches += 1
         random_checked += 1

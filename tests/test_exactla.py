@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from varcert.exactla import (
+    EchelonResult,
     FieldMatrix,
     MatrixFormatError,
     SizeGuardExceeded,
@@ -15,7 +16,7 @@ from varcert.exactla import (
     load_matrix,
     rref,
 )
-from helpers import dump_matrix
+from helpers import dump_matrix, from_rows, mul_vector
 from rref_reference import rref_sparse as _rref_sparse
 from varcert.jacobian import JacobianRing
 from varcert.polyring import (
@@ -35,7 +36,7 @@ PRIMES = [5, 10007, 1048573, 67108859, (1 << 31) - 1, 2147483659, 4294967311,
 def rand_mat(rng, p, r, c, density):
     rows = [{j: rng.randrange(1, p) for j in range(c) if rng.random() < density}
             for _ in range(r)]
-    return FieldMatrix.from_rows(p, c, rows)
+    return from_rows(p, c, rows)
 
 
 def test_backends_agree_on_full_rref():
@@ -58,7 +59,7 @@ def test_rref_invariant_under_row_shuffle():
         ref = rref(m)
         shuffled = list(m.rows)
         rng.shuffle(shuffled)
-        e = rref(FieldMatrix.from_rows(p, m.ncols, shuffled))
+        e = rref(from_rows(p, m.ncols, shuffled))
         assert e.pivots == ref.pivots
         assert np.array_equal(e.free_block(), ref.free_block())
 
@@ -98,7 +99,7 @@ def test_fermat_quartic_ideal_matrix_rank():
         for fi in parts:
             rows.append({idx[tuple(a + b for a, b in zip(m, mm))]: cc
                          for mm, cc in fi.terms.items()})
-    mat = FieldMatrix.from_rows(10007, 35, rows)
+    mat = from_rows(10007, 35, rows)
     assert (mat.nrows, mat.ncols) == (16, 35)
     assert rref(mat).rank == 16 == dense_rank_oracle(mat)
 
@@ -140,7 +141,7 @@ def test_kernel_witness_none_iff_full_column_rank():
             assert w is None
         else:
             assert w is not None
-            assert all(x == 0 for x in m.mul_vector(w))
+            assert all(x == 0 for x in mul_vector(m, w))
             assert any(w)
 
 
@@ -149,19 +150,35 @@ def test_kernel_witness_duplicate_columns():
     m = FieldMatrix.from_array(p, np.array([[1, 2, 2], [3, 4, 4], [5, 6, 6]]))
     w = kernel_witness(m)
     assert w is not None
-    assert all(x == 0 for x in m.mul_vector(w))
+    assert all(x == 0 for x in mul_vector(m, w))
+
+
+def test_kernel_witness_check_is_exact_at_word_size_primes():
+    # entries near 2^62, whose row sums overflow 64 bits: the true witness
+    # passes, and one read from a corrupted echelon is refused
+    p = (1 << 62) - 57
+    top = [[p - 1, p - 2, 3], [p - 3, 2, p - 1]]
+    rows = top + [[(x + y) % p for x, y in zip(*top)]]
+    m = FieldMatrix.from_array(p, np.array(rows, dtype=np.int64))
+    e = rref(m)
+    assert e.rank == 2
+    w = kernel_witness(m, e)
+    assert w is not None and not any(mul_vector(m, w))
+    bad = EchelonResult(p, e.ncols, e.pivots, (e.free_block() + 1) % p)
+    with pytest.raises(AssertionError, match="exact verification"):
+        kernel_witness(m, bad)
 
 
 def test_empty_and_degenerate_shapes():
-    m = FieldMatrix.from_rows(7, 5, [])
+    m = from_rows(7, 5, [])
     assert rref(m).rank == 0
     assert kernel_witness(m) is not None  # zero map, e_0 is in the kernel
-    z = FieldMatrix.from_rows(7, 4, [{}, {}])
+    z = from_rows(7, 4, [{}, {}])
     assert rref(z).rank == 0
 
 
 def test_oracle_size_guard():
-    m = FieldMatrix.from_rows(10007, 3000, [dict() for _ in range(4000)])
+    m = from_rows(10007, 3000, [dict() for _ in range(4000)])
     with pytest.raises(SizeGuardExceeded):
         dense_rank_oracle(m)
 
@@ -187,7 +204,7 @@ def test_float_tier_size_guard_refuses_before_allocating(monkeypatch):
     # the small primes once served by a float tier share the one engine's
     # guard: a 40000 x 40000 matrix at 10007 would fill a 3.2 GB block
     n = 40000
-    mat = FieldMatrix.from_rows(10007, n, [{i: 1} for i in range(n)])
+    mat = from_rows(10007, n, [{i: 1} for i in range(n)])
     for name in ("empty", "zeros"):
         monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("array allocated"))
     tracemalloc.start()

@@ -493,6 +493,29 @@ def test_degrees_below_d_minus_1_keep_no_normal_forms():
     assert np.array_equal(ring.normal_forms(2), np.eye(monomial_count(8, 2), dtype=np.int64))
 
 
+def test_relation_degrees_hold_only_the_normal_forms_read():
+    # a relation degree keeps T, the normal forms of its products, and the
+    # rows read since; certify_smooth on this seeded (4,6) form peaked at
+    # 47.4 MB under tracemalloc when every degree kept the normal forms of
+    # all its monomials, and at 25.6 MB with T and the rows read.  Above
+    # degree d no degree holds a row per monomial (at d, all but n+1
+    # monomials are products and the first relation rows read the rest)
+    ring = route_ring(4, 6, None, F.p)
+    tracemalloc.start()
+    try:
+        assert ring.certify_smooth()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 10 ** 6
+    for q in range(7, ring.socle + 2):
+        forms = ring._pieces[q][0]
+        assert forms.rows.shape[0] < monomial_count(4, q), q
+    full = ring.normal_forms(9)
+    assert full.shape == (monomial_count(4, 9), ring.graded_dim(9))
+    assert np.array_equal(ring.normal_forms(9, np.arange(5, 700, 7)), full[5:700:7])
+
+
 def test_column_limit_applies_to_relation_degrees(monkeypatch):
     import varcert.jacobian as jacobian
     # degree 9 of a (3,4) form comes from relations; a column limit just

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import from_rows
 from rref_reference import rref_sparse
 from varcert import exactla
 from varcert.exactla import (
@@ -28,10 +29,13 @@ from varcert.polyring import HomogeneousForm, PrimeField, enumerate_monomials
 
 P62 = (1 << 62) - 57
 # the primes on either side of 2^21 and 2^42, where residues take one more
-# 21-bit limb in matmul_modp, of 2^23, and of 2^32, where products of
-# residues stop fitting in 64 bits
-BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, (1 << 31) - 1, 4398046511093,
-                   4398046511119, (1 << 61) - 1, P62]
+# 21-bit limb in matmul_modp, of 2^23, of 2^29, where a 32-row batch stops
+# deferring its reductions (32 (p-1)^2 + p < 2^63 holds for 536870909 and
+# fails for the next prime), and of 2^32, where products of residues stop
+# fitting in 64 bits
+DEFER_LAST, DEFER_NEXT = 536870909, 536870923
+BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, DEFER_LAST, DEFER_NEXT, (1 << 31) - 1,
+                   4398046511093, 4398046511119, (1 << 61) - 1, P62]
 
 
 def seeded_ring(n, d, prime, seed):
@@ -86,18 +90,23 @@ def python_matmul(a, b, p):
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
-def test_block_product_matches_python_ints(p):
+def test_block_product_matches_python_ints(p, monkeypatch):
     rng = random.Random(p + 1)
-    # inner sizes past one GEMM chunk (at most 2048 here), outputs larger
-    # than one _CHUNK, and empty shapes
-    for m, k, w in [(1, 1, 1), (2, _CHUNK + 500, 3), (90, 7, 100), (5, 130, 70), (0, 3, 2),
-                    (2, 0, 3)]:
+    # inner sizes past one GEMM chunk (at most 2048 here) and outputs larger
+    # than one _CHUNK
+    for m, k, w in [(1, 1, 1), (2, _CHUNK + 500, 3), (90, 7, 100), (5, 130, 70)]:
         a, b = edge_values(rng, p, (m, k)), edge_values(rng, p, (k, w))
         expect = python_matmul(a, b, p)
         assert matmul_modp(a, b, p).tolist() == expect
         assert matmul_modp(a.view(np.int64), b.view(np.int64), p).tolist() == expect
     ones = np.full((3, _CHUNK + 7), p - 1, dtype=np.int64)
     assert matmul_modp(ones, ones.T.copy(), p).tolist() == [[(_CHUNK + 7) % p] * 3] * 3
+    # an empty product is zeros at once, without splitting a single limb
+    monkeypatch.setattr(exactla, "_limbs", lambda x, nl: pytest.fail("limbs split"))
+    for m, k, w in [(0, 3, 2), (2, 0, 3), (32, 27, 0), (1, 1, 0)]:
+        a, b = edge_values(rng, p, (m, k)), edge_values(rng, p, (k, w))
+        got = matmul_modp(a.view(np.int64), b.view(np.int64), p)
+        assert got.dtype == np.int64 and got.tolist() == python_matmul(a, b, p)
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
@@ -118,6 +127,42 @@ def test_reduce_block_and_vector_match_python_ints(p):
             out[col] = (v[col] - sum(v[c] * blk[k][j] for k, c in enumerate(pivots))) % p
         expect.append(out)
     assert e.reduce_block(vecs).tolist() == expect
+
+
+def python_gauss_jordan(rows, p):
+    """_gauss_jordan's reference in Python ints: each row in turn, if
+    nonzero, clears its leading column from every other row; the pivot rows
+    are normalized at the end."""
+    rows = [[v % p for v in r] for r in rows]
+    lead, found = [], []
+    for i, r in enumerate(rows):
+        j = next((j for j, v in enumerate(r) if v), None)
+        if j is None:
+            continue
+        inv = pow(r[j], -1, p)
+        for h, other in enumerate(rows):
+            if h != i and other[j]:
+                g = other[j] * inv % p
+                rows[h] = [(x - g * y) % p for x, y in zip(other, r)]
+        lead.append(j)
+        found.append(i)
+    return lead, [[v * pow(rows[i][j], -1, p) % p for v in rows[i]]
+                  for i, j in zip(found, lead)]
+
+
+@pytest.mark.parametrize("p", [DEFER_LAST, DEFER_NEXT])
+def test_gauss_jordan_defers_reduction_below_its_bound(p):
+    # 32-row batches of all p-1 and of uniform entries against Python ints.
+    # Below the bound the updates accumulate unreduced in int64 in the batch
+    # itself, so a uniform batch is left with entries outside [0, p); above
+    # it every update is reduced, and none is
+    rng = random.Random(p)
+    uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
+    for rows in ([[p - 1] * 48] * 32, uniform):
+        y = np.array(rows, dtype=np.uint64)
+        lead, new = exactla._gauss_jordan(_Zp64(p), y)
+        assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
+    assert ((y >= p).any(), 32 * (p - 1) ** 2 + p < 1 << 63) == ((p == DEFER_LAST),) * 2
 
 
 def boundary_matrix(rng, p, r, c, density):
@@ -141,7 +186,7 @@ def boundary_matrix(rng, p, r, c, density):
                     comb[j] = (comb.get(j, 0) + f * v) % p
             rows.append(comb)
     rng.shuffle(rows)
-    return FieldMatrix.from_rows(p, c, rows), k
+    return from_rows(p, c, rows), k
 
 
 @pytest.mark.parametrize("p", BOUNDARY_PRIMES)
@@ -191,9 +236,9 @@ def test_rows_after_full_column_rank_are_not_read():
                 row[j] = (row.get(j, 0) + f * v) % P62
         tail.append({j: v for j, v in row.items() if v})
     rows = head + tail
-    recorded = RecordingRows(FieldMatrix.from_rows(P62, c, rows).rows)
+    recorded = RecordingRows(from_rows(P62, c, rows).rows)
     e = rref(FieldMatrix(P62, c, recorded))
-    ref = rref_sparse(FieldMatrix.from_rows(P62, c, rows))
+    ref = rref_sparse(from_rows(P62, c, rows))
     assert e.pivots == ref.pivots == tuple(range(c))
     assert e.free_block().shape == ref.free_block().shape == (c, 0)
     assert recorded.asked and all(lo < c for lo, _ in recorded.asked)
@@ -215,10 +260,10 @@ def test_rows_after_the_rank_bound_are_not_read():
                 row[j] = (row.get(j, 0) + f * v) % P62
         tail.append({j: v for j, v in row.items() if v})
     rows = head + tail
-    recorded = RecordingRows(FieldMatrix.from_rows(P62, c, rows).rows)
+    recorded = RecordingRows(from_rows(P62, c, rows).rows)
     mat = FieldMatrix(P62, c, recorded, rank_bound=k)
     e = rref(mat)
-    ref = rref_sparse(FieldMatrix.from_rows(P62, c, rows))
+    ref = rref_sparse(from_rows(P62, c, rows))
     assert e.rank == ref.rank == k
     assert e.pivots == ref.pivots
     assert np.array_equal(e.free_block(), ref.free_block())
@@ -232,7 +277,7 @@ def test_relation_matrix_reads_one_block_of_rows():
     # rank 14, the bound 15 - CI_10 = 15 - 1, reached within the first read
     ring = seeded_ring(4, 4, P62, 44)
     rel = ring.relation_matrix(9)
-    recorded = RecordingRows(FieldMatrix.from_rows(P62, rel.ncols, rel.rows).rows)
+    recorded = RecordingRows(from_rows(P62, rel.ncols, rel.rows).rows)
     e = rref(FieldMatrix(P62, rel.ncols, recorded, rank_bound=rel.rank_bound))
     ref = rref_sparse(rel)
     assert (rel.nrows, rel.ncols, rel.rank_bound, e.rank) == (2574, 15, 14, 14)
@@ -243,7 +288,7 @@ def test_relation_matrix_reads_one_block_of_rows():
 
 def test_block_size_guard_refuses_before_allocating(monkeypatch):
     n = 40000
-    mat = FieldMatrix.from_rows(P62, n, [{i: 1} for i in range(n)])
+    mat = from_rows(P62, n, [{i: 1} for i in range(n)])
     # without the guard rref would go on to fill a 3.2 GB block
     for name in ("empty", "zeros"):
         monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("array allocated"))
