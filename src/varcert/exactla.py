@@ -375,7 +375,8 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
     32-row batch) the updates accumulate unreduced in int64 and are reduced
     once at the end (delayed reduction, Dumas-Giorgi-Pernet 2008): only the
     pivot row and the pivot column are reduced when read.  Above that bound
-    every update is reduced at once, in Shoup products."""
+    every update is reduced at once: a*b mod p below 2^32, a Shoup product
+    above."""
     p, (nb, c) = int(zp.p), y.shape
     deferred = nb * (p - 1) ** 2 + p < 1 << 63
     if deferred:
@@ -394,13 +395,13 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
         f[i] = 0
         if any(f):
             g = np.array([v * inv % p for v in f], dtype=y.dtype)[:, None]
-            gpre = None if deferred else zp.pre(g)
+            gpre = zp.pre(g) if not deferred and zp.p >= _WORD else None
             for a in range(j, c, step):
                 part, row = y[:, a:a + step], y[i, a:a + step]
                 if deferred:
                     part -= g * row
                 else:
-                    part -= zp.mul(row, g, gpre)
+                    part -= zp.mulmod(row, g) if gpre is None else zp.mul(row, g, gpre)
                     np.minimum(part, part + zp.p, out=part)
         lead.append(j)
         rows.append(i)

@@ -20,17 +20,18 @@ that is what a relation degree keeps, with its basis monomials.  Any other
 degree-(q+1) monomial x_k m gets its normal form NF_q[m] @ M_k when the
 next step, a multiplication map or a caller first asks for it, composed
 through the degrees below and kept (FGLM's multiplication matrices,
-Faugere-Gianni-Lazard-Mora 1993); a relation step asks only for those of
-the monomials in the rows it builds.  An ideal step keeps the normal forms
-of all its monomials and its basis, the standard monomials its echelon
-leaves free.  Degrees up to d-1 are ideal steps, the last of them the n+1
-partials; the chain starts at d-1 and runs up to socle+1, whose relation
-matrix is at most n+1 columns wide.  The relation matrices order their
-columns by descending degrevlex, so each relation degree's basis is its
-degrevlex standard monomials, the order in which generic initial ideals
-behave best (Bayer-Stillman 1987), and the products of a basis stay few.
-The complete-intersection series bounds every rank from above, which lets
-the elimination stop reading rows early.
+Faugere-Gianni-Lazard-Mora 1993); a relation step asks for those of the
+monomials in the rows it has read, reading ahead up to twice as many
+rows.  An ideal step keeps the normal forms of all its monomials and its
+basis, the standard monomials its echelon leaves free.  Degrees up to d-1
+are ideal steps, the last of them the n+1 partials; the chain starts at
+d-1 and runs up to socle+1, whose relation matrix is at most n+1 columns
+wide.  The relation matrices order their columns by descending
+degrevlex, so each relation degree's basis is its degrevlex standard
+monomials, the order in which generic initial ideals behave best
+(Bayer-Stillman 1987), and the products of a basis stay few.  The
+complete-intersection series bounds every rank from above, which lets the
+elimination stop reading rows early.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .polyring import (
 )
 
 IDEAL_MATRIX_COLUMN_LIMIT = 2 * 10 ** 6
+_FORM_CELLS = 1 << 20  # cells of the left factor of one normal-form product
 
 
 class CharacteristicError(Exception):
@@ -141,20 +143,28 @@ class _RelationRows(RowArrays):
     written into a dense block and its second half subtracted mod p; a row
     joining two basis monomials comes out empty.  Rows are built on each
     request, and `forms` (the degree-q monomial columns -> their normal
-    forms) is asked for the rows of the monomials in the batch only, so
-    neither the rows after rref's early stop nor the normal forms they read
-    are ever built."""
+    forms) is asked for the rows of the monomials in the leading rows,
+    twice as many each time a batch passes those asked for, so the rows
+    after rref's early stop are never built and the normal forms they
+    read at most in part, while reading every row asks `forms` a
+    logarithmic number of times."""
 
     def __init__(self, forms: Callable[[np.ndarray], np.ndarray], m: int, products: np.ndarray,
                  ucol: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
         self._forms, self._m, self._a, self._b, self._p = forms, m, a, b, p
         self.products, self.ucol = products, ucol
+        self._formed = 0  # the leading rows whose normal forms were asked for
 
     def __len__(self) -> int:
         return self._a.size
 
     def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m, a, b = self._m, self._a[lo:hi], self._b[lo:hi]
+        if hi > self._formed:
+            end = min(self._a.size, max(hi, 2 * self._formed))
+            self._forms(_distinct(np.concatenate([self._a[self._formed:end] % m,
+                                                  self._b[self._formed:end] % m])))
+            self._formed = end
         nf = self._forms(np.concatenate([a % m, b % m]))
         rows = np.arange(a.size)[:, None]
         block = np.zeros((a.size, self.products.size), dtype=np.int64)
@@ -169,27 +179,32 @@ class _RelationRows(RowArrays):
 
 class _NormalForms:
     """The normal forms, in the basis of R_p, of the degree-p monomials
-    asked for so far: one row of `rows` per monomial column in `at`, so
-    only the rows read are held.  An ideal step holds every row from the
-    start.  A relation degree starts from T, the normal forms of the
-    products U_{p-1} (the first `nu` rows), and `ucol`, the rows of T of
-    the products x_k b of each variable and basis monomial of R_{p-1}:
-    M_k = T[ucol[k]] is the multiplication map x_k: R_{p-1} -> R_p."""
+    asked for so far: `at` maps each monomial column to its row of `rows`,
+    -1 while it has none, and the first `size` rows are held (the buffer
+    grows by a quarter when full), so only the rows asked for are kept.  An
+    ideal step holds every row from the start.  A relation degree starts
+    from T, the normal forms of the products U_{p-1} (the first `nu` rows),
+    and `ucol`, the rows of T of the products x_k b of each variable and
+    basis monomial of R_{p-1}: M_k = T[ucol[k]] is the multiplication map
+    x_k: R_{p-1} -> R_p."""
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, ucol: Optional[np.ndarray] = None):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, count: int,
+                 ucol: Optional[np.ndarray] = None):
         self.rows, self.ucol, self.nu = rows, ucol, rows.shape[0]
-        self.at = dict(zip(cols.tolist(), range(cols.size)))
-
-    def missing(self, cols: np.ndarray) -> np.ndarray:
-        """The distinct columns of cols that have no row yet, ascending."""
-        return np.array(sorted({c for c in cols.tolist() if c not in self.at}), dtype=np.int64)
+        self.size = self.nu
+        self.at = np.full(count, -1, dtype=np.int64)
+        self.at[cols] = np.arange(cols.size)
 
     def add(self, cols: np.ndarray, rows: np.ndarray) -> None:
-        self.at.update(zip(cols.tolist(), range(self.rows.shape[0], self.rows.shape[0] + cols.size)))
-        self.rows = np.concatenate([self.rows, rows])
-
-    def get(self, cols: np.ndarray) -> np.ndarray:
-        return self.rows[[self.at[c] for c in cols.tolist()]]
+        end = self.size + cols.size
+        if end > self.rows.shape[0]:
+            grown = np.empty((min(max(self.rows.shape[0] * 5 // 4, end), self.at.size),
+                              self.rows.shape[1]), dtype=np.int64)
+            grown[:self.size] = self.rows[:self.size]
+            self.rows = grown
+        self.rows[self.size:end] = rows
+        self.at[cols] = np.arange(self.size, end)
+        self.size = end
 
 
 class JacobianRing:
@@ -254,7 +269,8 @@ class JacobianRing:
         forms any other x_k m on first request as NF_{p-1}[m] @ T[ucol[k]]
         (k the least variable dividing it), asking degree p-1 for the rows of
         those m, and keeps it: one exact product per request and degree
-        (Faugere-Gianni-Lazard-Mora 1993)."""
+        (Faugere-Gianni-Lazard-Mora 1993), or per _FORM_CELLS cells of its
+        left factor on a large request."""
         self.graded_dim(p)
         nf, basis = self._pieces[p]
         cols = (np.arange(monomial_count(self.n, p)) if cols is None
@@ -263,16 +279,19 @@ class JacobianRing:
             out = np.zeros((cols.size, basis.size), dtype=np.int64)
             out[np.arange(cols.size), cols] = 1
             return out
-        miss = nf.missing(cols)
-        if miss.size:
-            m = monomial_count(self.n, p - 1)
-            order, pair, _ = _product_order(self.n, p - 1)
-            first = order[np.concatenate([[True], ~pair])][miss]  # x_k m, k least
-            a = np.zeros((miss.size, nf.nu), dtype=np.int64)
-            a[np.arange(miss.size)[:, None], nf.ucol[first // m]] = \
+        held = nf.at[cols]
+        if cols.size and held.min() >= 0:
+            return nf.rows[held]
+        miss, m = _distinct(cols[held < 0]), monomial_count(self.n, p - 1)
+        step = max(1, _FORM_CELLS // max(1, nf.nu))
+        for lo in range(0, miss.size, step):
+            part = miss[lo:lo + step]
+            first = _product_order(self.n, p - 1)[3][part]  # x_k m, k least
+            a = np.zeros((part.size, nf.nu), dtype=np.int64)
+            a[np.arange(part.size)[:, None], nf.ucol[first // m]] = \
                 self.normal_forms(p - 1, first % m)
-            nf.add(miss, matmul_modp(a, nf.rows[:nf.nu], self.field.p))
-        return nf.get(cols)
+            nf.add(part, matmul_modp(a, nf.rows[:nf.nu], self.field.p))
+        return nf.rows[nf.at[cols]]
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 for
@@ -295,7 +314,7 @@ class JacobianRing:
             mat = self.ideal_matrix(p)
             e = rref(mat)
             _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
-            nf = (_NormalForms(e.normal_forms(), np.arange(e.ncols))
+            nf = (_NormalForms(e.normal_forms(), np.arange(e.ncols), e.ncols)
                   if p >= self.degree - 1 else None)
             basis, rank = np.array(e.free_columns(), dtype=np.int64), e.rank
         self._pieces[p] = nf, basis
@@ -333,7 +352,7 @@ class JacobianRing:
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
-        order, pair, prods = _product_order(n, q)
+        order, pair, prods, _ = _product_order(n, q)
         cols = prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel()
         _, first, ucol = np.unique(_degrevlex_rank(n, q + 1)[cols], return_index=True,
                                    return_inverse=True)
@@ -370,7 +389,8 @@ class JacobianRing:
         free columns are distinct products, so they are the new basis
         monomials."""
         er = rref(rel)
-        nf = _NormalForms(er.normal_forms(), rel.rows.products, rel.rows.ucol)
+        nf = _NormalForms(er.normal_forms(), rel.rows.products, monomial_count(self.n, q + 1),
+                          rel.rows.ucol)
         return nf, rel.rows.products[list(er.free_columns())], er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
@@ -430,19 +450,30 @@ def _degrevlex_rank(n: int, p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The products x_k * m of every variable k and degree-q monomial m, as
     positions t = k * C(n+q, n) + m ordered by the column of the product (a
     stable sort, so k ascends within one product), the mask of the
-    positions whose product equals the next one's, and the column of the
-    product at each position.  Kept per (n, q) and read-only."""
+    positions whose product equals the next one's, the column of the
+    product at each position, and the first position of each degree-(q+1)
+    monomial column (its x_k m with k least).  Kept per (n, q) and
+    read-only."""
     keys = monomial_keys(n, q + 1)
     prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
     order = np.argsort(prods, kind="stable")
     pair = prods[order[1:]] == prods[order[:-1]]
-    for a in (order, pair, prods):
+    heads = order[np.concatenate([[True], ~pair])]
+    for a in (order, pair, prods, heads):
         a.setflags(write=False)
-    return order, pair, prods
+    return order, pair, prods, heads
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending.  np.unique without
+    return arrays checks for a masked array first, which imports numpy.ma
+    (about 1 MB and 17 ms) on its first call."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
 
 
 def _check_step_bytes(p: int, route: str, need: int) -> None:

@@ -493,13 +493,33 @@ def test_degrees_below_d_minus_1_keep_no_normal_forms():
     assert np.array_equal(ring.normal_forms(2), np.eye(monomial_count(8, 2), dtype=np.int64))
 
 
+def test_relation_rows_ask_for_normal_forms_ahead(monkeypatch):
+    # reading all 1760 rows (55 batches) of a relation matrix forms the
+    # normal forms they read in 7 products, one each time a batch passes
+    # the rows asked for, which then double (32, 64, ..., 1024, 1760); the
+    # rows equal those built from normal forms formed all at once
+    import varcert.jacobian as jacobian
+    ring = fermat_ring(4, 5, F)
+    ring.normal_forms(8)
+    whole = list(ring.relation_matrix(8).rows)
+    ring = fermat_ring(4, 5, F)
+    rel = ring.relation_matrix(8)
+    calls = []
+    monkeypatch.setattr(jacobian, "matmul_modp",
+                        lambda a, b, p: calls.append(a.shape) or matmul_modp(a, b, p))
+    assert list(rel.rows) == whole
+    assert len(calls) == 7
+
+
 def test_relation_degrees_hold_only_the_normal_forms_read():
     # a relation degree keeps T, the normal forms of its products, and the
-    # rows read since; certify_smooth on this seeded (4,6) form peaked at
-    # 47.4 MB under tracemalloc when every degree kept the normal forms of
-    # all its monomials, and at 25.6 MB with T and the rows read.  Above
-    # degree d no degree holds a row per monomial (at d, all but n+1
-    # monomials are products and the first relation rows read the rest)
+    # rows asked for since; certify_smooth on this seeded (4,6) form peaked
+    # at 47.4 MB under tracemalloc when every degree kept the normal forms
+    # of all its monomials, and at 28.4 MB with T and the rows asked for.
+    # Above degree d+1 no degree holds a row per monomial (at d, all but
+    # n+1 monomials are products and the first relation rows read the
+    # rest; d+1 fills up as the degrees above ask for rows, each reading
+    # ahead up to twice the rows rref has read)
     ring = route_ring(4, 6, None, F.p)
     tracemalloc.start()
     try:
@@ -508,9 +528,9 @@ def test_relation_degrees_hold_only_the_normal_forms_read():
     finally:
         tracemalloc.stop()
     assert peak < 36 * 10 ** 6
-    for q in range(7, ring.socle + 2):
+    for q in range(8, ring.socle + 2):
         forms = ring._pieces[q][0]
-        assert forms.rows.shape[0] < monomial_count(4, q), q
+        assert forms.size < monomial_count(4, q), q
     full = ring.normal_forms(9)
     assert full.shape == (monomial_count(4, 9), ring.graded_dim(9))
     assert np.array_equal(ring.normal_forms(9, np.arange(5, 700, 7)), full[5:700:7])

@@ -105,8 +105,11 @@ def test_block_product_matches_python_ints(p, monkeypatch):
     monkeypatch.setattr(exactla, "_limbs", lambda x, nl: pytest.fail("limbs split"))
     for m, k, w in [(0, 3, 2), (2, 0, 3), (32, 27, 0), (1, 1, 0)]:
         a, b = edge_values(rng, p, (m, k)), edge_values(rng, p, (k, w))
+        expect = python_matmul(a, b, p)
+        got = matmul_modp(a, b, p)
+        assert got.dtype == np.uint64 and got.tolist() == expect
         got = matmul_modp(a.view(np.int64), b.view(np.int64), p)
-        assert got.dtype == np.int64 and got.tolist() == python_matmul(a, b, p)
+        assert got.dtype == np.int64 and got.tolist() == expect
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
