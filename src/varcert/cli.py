@@ -296,12 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built on first use
+
+
 def main(argv=None) -> int:
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
-        return args.func(Envelope(args))
+        # by name: the parser outlives a rebinding of cmd_* (a tracer's wrapper)
+        return globals()[args.func.__name__](Envelope(args))
     except (CliError, CharacteristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,11 +2,11 @@
 
 rref() is one batched Gauss-Jordan for every prime, and matmul_modp() the
 one exact product it and its callers use: float64 GEMMs of 21-bit limbs,
-recombined with Shoup's precomputed-quotient products.  The reduced row
-echelon form is unique, so pivot columns and quotient coordinates do not
-depend on row order; it is kept as one rank x free-columns int64 block.
-dense_rank_oracle() is a deliberately separate textbook elimination used
-only to cross-check ranks.
+recombined in uint64 words that a rounded float64 estimate of their
+quotient by p reduces (_Zp64).  The reduced row echelon form is unique, so
+pivot columns and quotient coordinates do not depend on row order; it is
+kept as one rank x free-columns int64 block.  dense_rank_oracle() is a
+deliberately separate textbook elimination used only to cross-check ranks.
 """
 
 from __future__ import annotations
@@ -174,10 +174,14 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Residues are split into the fewest 21-bit limbs that hold p - 1 (Ozaki
     et al. 2012).  Limb products are below 2^42, and the inner index is
     taken kc at a time so that the up to nl GEMMs at one limb position s
-    sum below 2^53, exactly.  Those sums are recombined by Horner's rule in
-    Shoup products by 2^21 mod p and reduced once (delayed reduction,
-    Dumas-Giorgi-Pernet 2008), a few rows at a time.  An empty product is
-    zeros at once."""
+    sum below 2^53, exactly.  Those sums t_s are folded from the top, nl - 1
+    positions at a time (acc 2^42 + t_s 2^21 + t_(s-1) for three limbs,
+    acc 2^21 + t_s for two), in two float-quotient steps (_Zp64.fold): each
+    word is known mod 2^64, its quotient by p stays below 2^44, and the
+    remainder from the rounded estimate lies in (-0.51p, 0.51p) before its
+    one correction.  One limb keeps t mod p.  So the products are reduced
+    once (delayed reduction, Dumas-Giorgi-Pernet 2008), a few rows at a
+    time.  An empty product is zeros at once."""
     (m, k), w = a.shape, b.shape[1]
     if not (m and k and w):
         return np.zeros((m, w), dtype=a.dtype)
@@ -185,20 +189,21 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     top = min(p - 1, (1 << _LIMB) - 1)  # the largest limb
     kc = max(1, ((1 << 53) - 1) // (nl * top * top))
     mb = max(1, _CHUNK // max(1, w))
-    zp, shift = _Zp64(p), (1 << _LIMB) % p
-    shift, shiftpre = np.uint64(shift), np.uint64((shift << 64) // p)
+    zp = _Zp64(p)
     out = np.zeros((m, w), dtype=np.uint64)
     for lo in range(0, k, kc):
         bl = _limbs(b[lo:lo + kc], nl)
         for r in range(0, m, mb):
             al = _limbs(a[r:r + mb, lo:lo + kc], nl)
-            acc = None
-            for s in reversed(range(2 * nl - 1)):
-                t = sum(al[i] @ bl[s - i] for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1))
-                t = t.astype(np.uint64)
-                # a Shoup product is below p, so adding t < 2^53 cannot wrap
-                acc = t if acc is None else zp.mul(acc, shift, shiftpre) + t
-            out[r:r + mb] = zp.add(out[r:r + mb], acc % zp.p)
+            # the limb sums from the top, each formed when it is folded
+            t = (sum(al[i] @ bl[s - i] for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1))
+                 for s in reversed(range(2 * nl - 1)))
+            acc = next(t)
+            if nl == 1:
+                acc = acc.astype(np.uint64) % zp.p
+            for _ in range(2 if nl > 1 else 0):
+                acc = zp.fold(acc, [next(t) for _ in range(nl - 1)][::-1])
+            out[r:r + mb] = zp.add(out[r:r + mb], acc)
     return out.view(a.dtype)
 
 
@@ -208,72 +213,57 @@ def _limbs(x: np.ndarray, nl: int) -> list[np.ndarray]:
     return [((x >> (_LIMB * i)) & ((1 << _LIMB) - 1)).astype(np.float64) for i in range(nl)]
 
 
-_M32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_WORD = np.uint64(1 << 32)
-
-
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a*b of uint64 arrays, from
-    32-bit halves.  No partial sum can wrap: a product of halves is at most
-    (2^32-1)^2 = 2^64 - 2^33 + 1, so one 32-bit carry still fits."""
-    a0, a1 = a & _M32, a >> _S32
-    b0, b1 = b & _M32, b >> _S32
-    # in-place steps keep temporaries, and so time and peak memory, down
-    t = a1 * b0
-    u = a0 * b0
-    u >>= _S32
-    t += u
-    u = a0 * b1
-    u += t & _M32
-    t >>= _S32
-    u >>= _S32
-    t += u
-    t += a1 * b1
-    return t
+_SPLIT = np.array([31, 0], dtype=np.uint64)  # r -> (r_h, r_l), r = r_h 2^31 + r_l
+_MASK = np.array([(1 << 32) - 1, (1 << 31) - 1], dtype=np.uint64)
 
 
 class _Zp64:
     """Exact arithmetic mod p < 2^63 on uint64 arrays.
 
-    Products use Shoup's precomputed quotient: for w < p and
-    w' = floor(w 2^64 / p), any a < 2^64 gives q = mulhi(a, w') within one
-    of floor(a w / p), so r = a w - q p, computed mod 2^64, lies in [0, 2p)
-    and one conditional subtraction of p makes it exact.  2p < 2^64 is what
-    needs p < 2^63.  Below 2^32 a product of residues fits in 64 bits and
-    mulmod reduces it directly."""
+    Above 2^32 a product is reduced from a rounded float64 estimate of its
+    quotient (van der Hoeven, Lecerf and Quintin 2016): for X known mod 2^64
+    and e within 0.01 of X/p, v = X - rint(e) p, computed mod 2^64, is an
+    integer in (-0.51p, 0.51p), and min(v, v + p) taken mod 2^64 is X mod
+    p.  1.51p < 2^64 is what needs p < 2^63.  A float64 estimate of a sum of
+    a few rounded products is that close while |X/p| < 2^44.  Below 2^32 a
+    product of residues fits in 64 bits and mulmod reduces it directly."""
 
     def __init__(self, p: int):
         if p >= 1 << 63:
             raise ValueError(f"modulus {p} is not below 2^63")
         self.p = np.uint64(p)
-        # w' = w*floor(2^64/p) + floor(w*(2^64 mod p)/p); the second term is
-        # itself a Shoup product by the constant 2^64 mod p
-        self._c = np.uint64((1 << 64) // p)
-        r0 = (1 << 64) % p
-        self._r0 = np.uint64(r0)
-        self._r0pre = np.uint64((r0 << 64) // p)
 
-    def pre(self, w: np.ndarray) -> np.ndarray:
-        """Shoup quotients floor(w 2^64 / p) for entries w < p."""
-        q = _mulhi(w, self._r0pre)
-        r = w * self._r0 - q * self.p
-        q += r >= self.p
-        return w * self._c + q
-
-    def mul(self, a: np.ndarray, w: np.ndarray, wpre: np.ndarray) -> np.ndarray:
-        """a*w mod p for any uint64 a and w < p with wpre = pre(w)."""
-        q = _mulhi(a, wpre)
+    def reduce(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """X mod p, in place in x, for x = X mod 2^64 and a float64 array e
+        within 0.01 of X/p; e is overwritten."""
+        q = np.rint(e, out=e).astype(np.int64).view(np.uint64)
         q *= self.p
-        r = a * w
-        r -= q
-        return np.minimum(r, r - self.p, out=r)
+        x -= q
+        return np.minimum(x, x + self.p, out=x)
+
+    def fold(self, acc: np.ndarray, ts: list[np.ndarray]) -> np.ndarray:
+        """(acc 2^(21 k) + sum of ts[i] 2^(21 i)) mod p, k = len(ts), for
+        float64 limb sums ts below 2^53 and acc a limb sum or residues, when
+        that quotient stays below 2^44."""
+        p = int(self.p)
+        x = acc.astype(np.uint64) << np.uint64(_LIMB * len(ts))
+        e = acc * (2.0 ** (_LIMB * len(ts)) / p)
+        for i, t in enumerate(ts):
+            u = t.astype(np.uint64)
+            x += u << np.uint64(_LIMB * i) if i else u
+            e += t * (2.0 ** (_LIMB * i) / p)
+        return self.reduce(x, e)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b mod p for arrays of residues a and b (b the smaller)."""
-        if self.p < _WORD:
+        """a*b mod p for arrays of residues a and b.  Above 2^32 it is
+        A' b_h + a b_l, b = b_h 2^31 + b_l, after A' = a 2^31 mod p: two
+        float-quotient steps with quotients below 2^33."""
+        if self.p < 1 << 32:
             return a * b % self.p
-        return self.mul(a, b, self.pre(b))
+        p = int(self.p)
+        ah = self.reduce(a << _SPLIT[0], a * (2.0 ** 31 / p))
+        bh, bl = b >> _SPLIT[0], b & _MASK[1]
+        return self.reduce(ah * bh + a * bl, ah * (bh / p) + a * (bl / p))
 
     def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = x + y
@@ -325,7 +315,7 @@ class _PivotRows:
         """The rows' entries at the free and at the pivot columns."""
         at = self.at[cols]
         infree = at >= 0
-        x = np.zeros((nb, self.free.size), dtype=np.uint64)
+        x = np.zeros((nb, self.free.size), dtype=np.uint64, order="F")
         x[rix[infree], at[infree]] = vals[infree]
         coef = np.zeros((nb, len(self.pivots)), dtype=np.uint64)
         coef[rix[~infree], self.rowof[cols[~infree]]] = vals[~infree]
@@ -368,19 +358,25 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
     its column unnormalized, with factors scaled by its pivot's inverse;
     later pivots leave that entry alone, so rows are normalized at the end.
     Each update is applied to the whole slice y[:, j:] in place, so y is
-    overwritten.
+    overwritten; with y in column-major order that slice is one slab.
 
     A row takes at most one update per pivot, each of magnitude at most
     (p-1)^2, so with nb rows and nb (p-1)^2 + p < 2^63 (p < 2^29 for a
     32-row batch) the updates accumulate unreduced in int64 and are reduced
     once at the end (delayed reduction, Dumas-Giorgi-Pernet 2008): only the
     pivot row and the pivot column are reduced when read.  Above that bound
-    every update is reduced at once: a*b mod p below 2^32, a Shoup product
-    above."""
+    every update is reduced at once and y stays in [0, p): a*b mod p below
+    2^32, a float quotient above.  There, with r = r_h 2^31 + r_l the pivot
+    row and G' = g 2^31 mod p for the factors g, y - g r is congruent to
+    X = y - G' r_h - g r_l, known mod 2^64 from one uint64 product, and
+    y/p - [r_h r_l] @ [G'/p; g/p], a float64 GEMM below 2^33, is within
+    2^-16 of X/p, so X - rint(that) p is in (-0.51p, 0.51p) for any nb."""
     p, (nb, c) = int(zp.p), y.shape
     deferred = nb * (p - 1) ** 2 + p < 1 << 63
+    wide = p >= 1 << 32
     if deferred:
         y = y.view(np.int64)
+    yt = y.T  # with y column-major, the columns an update touches are one slab
     step = max(1, _CHUNK // max(1, nb))
     lead, rows, invs = [], [], []
     for i in range(nb):
@@ -394,14 +390,24 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
         f = (y[:, j] % p if deferred else y[:, j]).tolist()
         f[i] = 0
         if any(f):
-            g = np.array([v * inv % p for v in f], dtype=y.dtype)[:, None]
-            gpre = zp.pre(g) if not deferred and zp.p >= _WORD else None
+            g = [v * inv % p for v in f]
+            if wide:
+                gs = np.array([[(v << 31) % p for v in g], g], dtype=np.uint64)  # G', g
+                gfp = gs / p
+            else:
+                g = np.array(g, dtype=y.dtype)
             for a in range(j, c, step):
-                part, row = y[:, a:a + step], y[i, a:a + step]
+                part, row = yt[a:a + step], yt[a:a + step, i, None]
                 if deferred:
-                    part -= g * row
+                    part -= row * g
+                elif wide:
+                    rs = (row >> _SPLIT) & _MASK
+                    e = part * (1.0 / p)
+                    e -= rs @ gfp
+                    part -= rs @ gs
+                    zp.reduce(part, e)
                 else:
-                    part -= zp.mulmod(row, g) if gpre is None else zp.mul(row, g, gpre)
+                    part -= zp.mulmod(row, g)
                     np.minimum(part, part + zp.p, out=part)
         lead.append(j)
         rows.append(i)

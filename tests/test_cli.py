@@ -295,6 +295,35 @@ def test_argparse_errors_exit_1(capsys):
         assert err.startswith("error: argument") and err.count("\n") == 1
 
 
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys, tmp_path, monkeypatch):
+    from varcert import cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    form = tmp_path / "q.txt"
+    form.write_text("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3\n")
+    code, first, _ = run_json(capsys, "maxvar", "hypersurface", "--fermat", "3", "4",
+                              "-e", "2", "--prime", P, "--seed", "5", "--trials", "2")
+    assert code == 0
+    assert first["input"]["source"] == "fermat(3,4)" and first["input"]["e"] == 2
+    assert first["config"] == {"prime": int(P), "seed": 5, "trials": 2}
+    # neither --fermat, -e, --seed nor --trials carries over to later calls
+    code, second, _ = run_json(capsys, "maxvar", "hypersurface", str(form), "--prime", P)
+    assert code == 0
+    assert second["input"]["source"] == str(form) and second["input"]["e"] == 1
+    assert second["config"] == {"prime": int(P), "seed": 0, "trials": 3}
+    # a command rebound after the parser was built (as a tracer does) is the
+    # one that runs
+    ran = []
+    real_cmd = cli.cmd_hilbert
+    monkeypatch.setattr(cli, "cmd_hilbert", lambda run: ran.append(1) or real_cmd(run))
+    code, third, _ = run_json(capsys, "hilbert", str(form), "--prime", P)
+    assert code == 0 and third["command"] == "hilbert" and ran == [1]
+    assert third["input"]["source"] == str(form) and "e" not in third["input"]
+    assert built == [1]
+
+
 def test_trials_below_one_exit_1(capsys, tmp_path):
     good = tmp_path / "m.txt"
     good.write_text("1 1 10007\n0 0 4\n")

@@ -1,7 +1,7 @@
-"""rref's batched elimination and its exact product: Shoup arithmetic, the
-limb-split product, exactness at the limb- and word-boundary primes against
-the sparse reference, the stop at the rank bound, the pre-flight size guard,
-the residual check and the memory budget."""
+"""rref's batched elimination and its exact product: float-quotient
+arithmetic, the limb-split product, exactness at the limb- and word-boundary
+primes against the sparse reference, the stop at the rank bound, the
+pre-flight size guard, the residual check and the memory budget."""
 
 import random
 import tracemalloc
@@ -14,6 +14,7 @@ from rref_reference import rref_sparse
 from varcert import exactla
 from varcert.exactla import (
     _CHUNK,
+    _LIMB,
     _ROWS_PER_READ,
     CsrRows,
     EchelonResult,
@@ -56,21 +57,31 @@ def assert_same_echelon(mat):
 
 @pytest.mark.parametrize("p", [8388617, (1 << 31) - 1, (1 << 32) + 15, P62, (1 << 63) - 25])
 def test_shoup_mulmod_and_split_sum_match_python_ints(p):
+    # mulmod, add and sub of _Zp64 against Python ints (the name is kept so
+    # that the test's ids stay stable)
     zp = _Zp64(p)
     rng = random.Random(p)
     vals = [0, 1, 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(40)]
     w = np.array(vals, dtype=np.uint64)
-    assert zp.pre(w).tolist() == [(v << 64) // p for v in vals]
-    # the multiplicand may be any 64-bit word, not only a residue
-    a = np.array(vals + [(1 << 64) - 1, 1 << 63], dtype=np.uint64)
-    prod = zp.mul(a[:, None], w[None, :], zp.pre(w)[None, :])
-    assert prod.tolist() == [[x * y % p for y in vals] for x in a.tolist()]
     assert zp.mulmod(w[:, None], w[None, :]).tolist() == [[x * y % p for y in vals]
                                                           for x in vals]
     assert zp.add(w[:, None], w[None, :]).tolist() == [[(x + y) % p for y in vals]
                                                        for x in vals]
     assert zp.sub(w[:, None], w[None, :]).tolist() == [[(x - y) % p for y in vals]
                                                        for x in vals]
+    # operands whose quotients lie within 1/(2p) of a half: a 2^31 or a b is
+    # (p +- 1)/2 mod p, so above 2^32 the float estimates land on .5 ties
+    a = [x for x in vals[1:] for _ in (1, -1)]
+    b = [(p + s) // 2 * pow(x, -1, p) % p for x in vals[1:] for s in (1, -1)]
+    a += [(p + s) // 2 * pow(1 << 31, -1, p) % p for s in (1, -1)]
+    b += [1, 1]
+    ties = []
+    if p >= 1 << 32:
+        real = zp.reduce
+        zp.reduce = lambda x, e: ties.append(np.count_nonzero(e % 1 == 0.5)) or real(x, e)
+    got = zp.mulmod(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+    assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+    assert (sum(ties) > len(a) // 2) == (p >= 1 << 32)
 
 
 EXACT_PRIMES = [2097143, 2097169, 8388593, 8388617, (1 << 31) - 1, 4398046511093,
@@ -166,6 +177,51 @@ def test_gauss_jordan_defers_reduction_below_its_bound(p):
         lead, new = exactla._gauss_jordan(_Zp64(p), y)
         assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
     assert ((y >= p).any(), 32 * (p - 1) ** 2 + p < 1 << 63) == ((p == DEFER_LAST),) * 2
+
+
+@pytest.mark.parametrize("p", [4294967311, 4398046511119, (1 << 61) - 1, P62, (1 << 63) - 25])
+def test_gauss_jordan_float_quotient_updates_match_python_ints(p):
+    # above 2^32 each update is reduced from a float64 quotient estimate, so
+    # the batch stays in [0, p), at primes up to the largest allowed; in
+    # row-major and in column-major order, which rref passes
+    rng = random.Random(p)
+    for order in "CFCF":
+        uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
+        for rows in ([[p - 1] * 48] * 32, uniform):
+            y = np.array(rows, dtype=np.uint64, order=order)
+            lead, new = exactla._gauss_jordan(_Zp64(p), y)
+            assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
+            assert (y < p).all()
+
+
+def all_ones_below(p):
+    """The largest residue whose 21-bit limbs below the top one are all
+    2^21 - 1, so that limb sums in matmul_modp are as large as p allows."""
+    low = 1 << (_LIMB * (((p - 1).bit_length() - 1) // _LIMB))
+    v = (p - 1) // low * low + low - 1
+    return v if v < p else v - low
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_block_product_with_limb_sums_near_2_53_matches_python_ints(p):
+    rng = random.Random(p + 3)
+    v, nl = all_ones_below(p), max(1, -(-(p - 1).bit_length() // _LIMB))
+    top = min(p - 1, (1 << _LIMB) - 1)
+    kc = ((1 << 53) - 1) // (nl * top * top)  # inner indices per exact GEMM
+    limbs = [(v >> (_LIMB * i)) & ((1 << _LIMB) - 1) for i in range(nl)]
+    peak = kc * max(sum(limbs[i] * limbs[s - i] for i in range(nl) if 0 <= s - i < nl)
+                    for s in range(2 * nl - 1))
+    assert 1 << 51 < peak < 1 << 53
+    # full chunks of v and p - 1, then a mix with edge values
+    k = 2 * kc + 5
+    a = np.full((6, k), v, dtype=np.uint64)
+    a[1] = p - 1
+    a[2:] = edge_values(rng, p, (4, k))
+    b = np.full((k, 5), v, dtype=np.uint64)
+    b[:, 1] = p - 1
+    b[:, 2:] = edge_values(rng, p, (k, 3))
+    assert matmul_modp(a, b, p).tolist() == python_matmul(a, b, p)
+    assert matmul_modp(a.view(np.int64), b.view(np.int64), p).tolist() == python_matmul(a, b, p)
 
 
 def boundary_matrix(rng, p, r, c, density):
