@@ -1,12 +1,15 @@
 """Exact row reduction and rank certificates over Z/p, p < 2^63.
 
-rref() is one batched Gauss-Jordan for every prime, and matmul_modp() the
-one exact product it and its callers use: float64 GEMMs of 21-bit limbs,
-recombined in uint64 words that a rounded float64 estimate of their
-quotient by p reduces (_Zp64).  The reduced row echelon form is unique, so
-pivot columns and quotient coordinates do not depend on row order; it is
-kept as one rank x free-columns int64 block.  dense_rank_oracle() is a
-deliberately separate textbook elimination used only to cross-check ranks.
+rref() is one batched Gauss-Jordan for every prime, reading rows as dense
+blocks (FieldMatrix.dense) however they are held: CSR arrays, an array, or
+rows built on request.  matmul_modp() is the one exact product it and its
+callers use: below 2^21, with an inner dimension short enough, one float64
+GEMM; otherwise float64 GEMMs of 21-bit limbs, recombined in uint64 words
+that a rounded float64 estimate of their quotient by p reduces (_Zp64).
+The reduced row echelon form is unique, so pivot columns and quotient
+coordinates do not depend on row order; it is kept as one rank x
+free-columns int64 block.  dense_rank_oracle() is a deliberately separate
+textbook elimination used only to cross-check ranks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .polyring import PrimeField
 ORACLE_CELL_LIMIT = 10 ** 7
 ENGINE_BYTES_LIMIT = 1 << 30  # largest pivot block rref allocates
 _CHUNK = 1 << 13  # cells per temporary in products and block slices
-_ROWS_PER_READ = 32  # rows per FieldMatrix.csr call: rref's batch
+_ROWS_PER_READ = 32  # rows per FieldMatrix.dense call: rref's batch
 _LIMB = 21  # bits per limb in matmul_modp
 
 
@@ -34,8 +37,9 @@ class MatrixFormatError(Exception):
 
 
 class RowArrays:
-    """Rows that are held, or built on demand, as numpy CSR arrays.
-    Subclasses define __len__ and csr(); iterating yields dict rows."""
+    """Rows that are held, or built on demand, as numpy arrays.  Subclasses
+    define __len__ and csr(), or derive from DenseRows; iterating yields
+    dict rows."""
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -44,6 +48,15 @@ class RowArrays:
         """Rows lo..hi-1 as (indptr starting at 0, intp columns, int64
         values in [0, p))."""
         raise NotImplementedError
+
+    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
+        """Rows lo..hi-1 as an (hi - lo) x ncols int64 array of entries in
+        [0, p), which the caller must not write to: by default csr()
+        scattered into zeros."""
+        indptr, cols, vals = self.csr(lo, hi)
+        out = np.zeros((hi - lo, ncols), dtype=np.int64)
+        out[np.repeat(np.arange(hi - lo), np.diff(indptr)), cols] = vals
+        return out
 
     def __iter__(self):
         # a block of rows at a time, so rows built on demand are never all
@@ -70,14 +83,42 @@ class CsrRows(RowArrays):
         return ip - s, self.cols[s:e], self.vals[s:e]
 
 
+class DenseRows(RowArrays):
+    """Rows held, or built on demand, as dense blocks ncols wide, the
+    matrix's width: subclasses define __len__ and dense(), and csr() gives
+    the nonzero entries of dense()."""
+
+    ncols: int
+
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        block = self.dense(lo, hi, self.ncols)
+        i, j = np.nonzero(block)
+        indptr = np.zeros(block.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(block, axis=1), out=indptr[1:])
+        return indptr, j, block[i, j]
+
+
+class ArrayRows(DenseRows):
+    """The rows of a 2-D int64 array, held as it is."""
+
+    def __init__(self, a: np.ndarray):
+        self.a, self.ncols = np.asarray(a, dtype=np.int64), a.shape[1]
+
+    def __len__(self) -> int:
+        return self.a.shape[0]
+
+    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
+        return self.a[lo:hi]
+
+
 @dataclass
 class FieldMatrix:
-    """Sparse rows over Z/p, held as a RowArrays: stored CSR arrays, or
-    rows built on each request.
+    """Sparse rows over Z/p, held as a RowArrays: stored CSR arrays, an
+    array, or rows built on each request.
 
     rank_bound, when given, must be a proven upper bound on the rank: rref
     stops reading rows once it reaches it.  rows_read counts the
-    leading rows handed out through csr()."""
+    leading rows handed out through csr() or dense()."""
 
     p: int
     ncols: int
@@ -91,20 +132,24 @@ class FieldMatrix:
 
     @classmethod
     def from_array(cls, p: int, a: np.ndarray) -> FieldMatrix:
-        """The matrix of a 2-D int64 array with entries in [0, p)."""
-        i, j = np.nonzero(a)
-        indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(a, axis=1), out=indptr[1:])
-        return cls(p, a.shape[1], CsrRows(indptr, j, a[i, j]))
+        """The matrix of a 2-D int64 array with entries in [0, p), which it
+        keeps."""
+        return cls(p, a.shape[1], ArrayRows(a))
 
     def csr(self, lo: int = 0,
             hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows lo..hi-1 (all by default) as numpy CSR arrays: indptr
-        starting at 0, intp column indices, int64 values in [0, p).  The
-        one way rref reads rows."""
+        starting at 0, intp column indices, int64 values in [0, p)."""
         hi = self.nrows if hi is None else hi
         self.rows_read = max(self.rows_read, hi)
         return self.rows.csr(lo, hi)
+
+    def dense(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Rows lo..hi-1 (all by default) as an int64 array of entries in
+        [0, p), not to be written to.  The one way rref reads rows."""
+        hi = self.nrows if hi is None else hi
+        self.rows_read = max(self.rows_read, hi)
+        return self.rows.dense(lo, hi, self.ncols)
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         """The nrows x ncols array of entries in [0, p)."""
@@ -172,16 +217,19 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     entries in [0, p); the result has a's dtype.
 
     Residues are split into the fewest 21-bit limbs that hold p - 1 (Ozaki
-    et al. 2012).  Limb products are below 2^42, and the inner index is
-    taken kc at a time so that the up to nl GEMMs at one limb position s
-    sum below 2^53, exactly.  Those sums t_s are folded from the top, nl - 1
-    positions at a time (acc 2^42 + t_s 2^21 + t_(s-1) for three limbs,
-    acc 2^21 + t_s for two), in two float-quotient steps (_Zp64.fold): each
-    word is known mod 2^64, its quotient by p stays below 2^44, and the
-    remainder from the rounded estimate lies in (-0.51p, 0.51p) before its
-    one correction.  One limb keeps t mod p.  So the products are reduced
-    once (delayed reduction, Dumas-Giorgi-Pernet 2008), a few rows at a
-    time.  An empty product is zeros at once."""
+    et al. 2012).  With one limb (p <= 2^21) and an inner dimension k that
+    sums exactly, k (p-1)^2 < 2^53, each block of rows is one float64 GEMM
+    reduced mod p straight into the result.  Otherwise limb products are
+    below 2^42, and the inner index is taken kc at a time so that the up to
+    nl GEMMs at one limb position s sum below 2^53, exactly.  Those sums
+    t_s are folded from the top, nl - 1 positions at a time (acc 2^42 + t_s
+    2^21 + t_(s-1) for three limbs, acc 2^21 + t_s for two), in two
+    float-quotient steps (_Zp64.fold): each word is known mod 2^64, its
+    quotient by p stays below 2^44, and the remainder from the rounded
+    estimate lies in (-0.51p, 0.51p) before its one correction.  One limb
+    keeps t mod p.  So the products are reduced once (delayed reduction,
+    Dumas-Giorgi-Pernet 2008), a few rows at a time.  An empty product is
+    zeros at once."""
     (m, k), w = a.shape, b.shape[1]
     if not (m and k and w):
         return np.zeros((m, w), dtype=a.dtype)
@@ -190,6 +238,13 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     kc = max(1, ((1 << 53) - 1) // (nl * top * top))
     mb = max(1, _CHUNK // max(1, w))
     zp = _Zp64(p)
+    if nl == 1 and k <= kc:  # one exact GEMM per row block
+        bf = b.astype(np.float64)
+        out = np.empty((m, w), dtype=np.uint64)
+        for r in range(0, m, mb):
+            np.remainder((a[r:r + mb].astype(np.float64) @ bf).astype(np.uint64), zp.p,
+                         out=out[r:r + mb])
+        return out.view(a.dtype)
     out = np.zeros((m, w), dtype=np.uint64)
     for lo in range(0, k, kc):
         bl = _limbs(b[lo:lo + kc], nl)
@@ -283,21 +338,20 @@ class _PivotRows:
         self.zp = zp
         self.buf = np.empty(cells, dtype=np.uint64)
         self.free = np.arange(ncols)  # block column -> matrix column
-        self.at = np.arange(ncols)  # matrix column -> block column, or -1
-        self.rowof = np.full(ncols, -1, dtype=np.intp)  # pivot column -> block row
-        self.pivots: list[int] = []  # pivot column of each block row
+        self.pivots = np.zeros(0, dtype=np.intp)  # pivot column of each block row
 
     @property
     def block(self) -> np.ndarray:
-        r, w = len(self.pivots), self.free.size
+        r, w = self.pivots.size, self.free.size
         return self.buf[:r * w].reshape(r, w)
 
-    def reduce(self, rix: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               nb: int) -> np.ndarray:
-        """The nb rows with entries vals at (rix, cols) reduced modulo the
-        pivot rows, at the free columns: x - coef @ block, over the block
-        rows coef touches, a few at a time, and their nonzero columns."""
-        x, coef = self._split(rix, cols, vals, nb)
+    def reduce(self, batch: np.ndarray) -> np.ndarray:
+        """The rows of the uint64 array batch reduced modulo the pivot rows,
+        at the free columns and column-major: x - coef @ block, with x and
+        coef the batch's free and pivot columns, over the block rows coef
+        touches, a few at a time, and their nonzero columns."""
+        x = batch.T[self.free].T  # a gathered copy, column-major
+        coef = batch[:, self.pivots]
         touched = np.flatnonzero(coef.any(axis=0))
         block, step = self.block, max(1, _CHUNK // max(1, self.free.size))
         for s in range(0, touched.size, step):
@@ -310,22 +364,11 @@ class _PivotRows:
                                                            int(self.zp.p)))
         return x
 
-    def _split(self, rix: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               nb: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows' entries at the free and at the pivot columns."""
-        at = self.at[cols]
-        infree = at >= 0
-        x = np.zeros((nb, self.free.size), dtype=np.uint64, order="F")
-        x[rix[infree], at[infree]] = vals[infree]
-        coef = np.zeros((nb, len(self.pivots)), dtype=np.uint64)
-        coef[rix[~infree], self.rowof[cols[~infree]]] = vals[~infree]
-        return x, coef
-
     def insert(self, lead: list[int], new: np.ndarray) -> None:
         """Add the reduced rows new, with pivots at block columns lead: clear
         those columns with one product, block -= block[:, lead] @ new (a few
         rows at a time, where it can be nonzero), then drop them in place."""
-        r, w, k = len(self.pivots), self.free.size, len(lead)
+        r, w, k = self.pivots.size, self.free.size, len(lead)
         block = self.block
         g = block[:, lead]
         hit = np.flatnonzero(g.any(axis=1))
@@ -344,12 +387,8 @@ class _PivotRows:
             b = min(r, a + step)
             self.buf[a * w2:b * w2] = self.buf[a * w:b * w].reshape(b - a, w)[:, keep].ravel()
         self.buf[r * w2:(r + k) * w2] = new[:, keep].ravel()
-        found = self.free[lead]
-        self.rowof[found] = np.arange(r, r + k)
-        self.pivots.extend(found.tolist())
+        self.pivots = np.concatenate([self.pivots, self.free[lead]])
         self.free = self.free[keep]
-        self.at[:] = -1
-        self.at[self.free] = np.arange(w2)
 
 
 def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -366,11 +405,13 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
     once at the end (delayed reduction, Dumas-Giorgi-Pernet 2008): only the
     pivot row and the pivot column are reduced when read.  Above that bound
     every update is reduced at once and y stays in [0, p): a*b mod p below
-    2^32, a float quotient above.  There, with r = r_h 2^31 + r_l the pivot
-    row and G' = g 2^31 mod p for the factors g, y - g r is congruent to
-    X = y - G' r_h - g r_l, known mod 2^64 from one uint64 product, and
-    y/p - [r_h r_l] @ [G'/p; g/p], a float64 GEMM below 2^33, is within
-    2^-16 of X/p, so X - rint(that) p is in (-0.51p, 0.51p) for any nb."""
+    2^32, a float quotient above.  Below 2^32 the factors g = f inv mod p
+    are one numpy vector (f inv < 2^64), above it Python ints.  There, with
+    r = r_h 2^31 + r_l the pivot row and G' = g 2^31 mod p for the factors
+    g, y - g r is congruent to X = y - G' r_h - g r_l, known mod 2^64 from
+    one uint64 product, and y/p - [r_h r_l] @ [G'/p; g/p], a float64 GEMM
+    below 2^33, is within 2^-16 of X/p, so X - rint(that) p is in (-0.51p,
+    0.51p) for any nb."""
     p, (nb, c) = int(zp.p), y.shape
     deferred = nb * (p - 1) ** 2 + p < 1 << 63
     wide = p >= 1 << 32
@@ -382,20 +423,26 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
     for i in range(nb):
         if deferred:
             y[i] %= p
-        nz = np.flatnonzero(y[i])
+        nz = y[i].nonzero()[0]  # np.flatnonzero would copy the strided row
         if not nz.size:
             continue
         j = int(nz[0])
         inv = pow(int(y[i, j]), -1, p)
-        f = (y[:, j] % p if deferred else y[:, j]).tolist()
-        f[i] = 0
-        if any(f):
-            g = [v * inv % p for v in f]
+        if wide:
+            f = y[:, j].tolist()
+            f[i] = 0
+            hit = any(f)
+        else:  # the factors in numpy: f inv < 2^64, and < 2^63 when deferred
+            g = y[:, j] % p if deferred else y[:, j].copy()
+            g *= inv
+            g %= p
+            g[i] = 0
+            hit = np.count_nonzero(g)
+        if hit:
             if wide:
+                g = [v * inv % p for v in f]
                 gs = np.array([[(v << 31) % p for v in g], g], dtype=np.uint64)  # G', g
                 gfp = gs / p
-            else:
-                g = np.array(g, dtype=y.dtype)
             for a in range(j, c, step):
                 part, row = yt[a:a + step], yt[a:a + step, i, None]
                 if deferred:
@@ -424,8 +471,9 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
 def rref(mat: FieldMatrix) -> EchelonResult:
     """The reduced row echelon form of mat, by batched Gauss-Jordan.
 
-    Rows are read _ROWS_PER_READ at a time through mat.csr, empty ones
-    dropped.  A batch is reduced modulo the pivot rows (one matmul_modp),
+    Rows are read _ROWS_PER_READ at a time as one dense block through
+    mat.dense, empty ones dropped.  A batch's pivot and free columns are
+    gathered from it and reduced modulo the pivot rows (one matmul_modp),
     brought to reduced echelon form, and its pivots are back-substituted
     into the pivot rows (one more).  Reduced again, the batch must vanish:
     the row space only grows, so every row read lies in the final one.
@@ -444,23 +492,22 @@ def rref(mat: FieldMatrix) -> EchelonResult:
             f"the {ENGINE_BYTES_LIMIT} limit")
     piv = _PivotRows(_Zp64(p), c, cells)
     for lo in range(0, mat.nrows, _ROWS_PER_READ):
-        indptr, cols, vals = mat.csr(lo, min(lo + _ROWS_PER_READ, mat.nrows))
-        lens = np.diff(indptr)
-        nb = int(np.count_nonzero(lens))
-        rix = np.repeat(np.cumsum(lens > 0) - 1, lens)  # entry -> nonempty row
-        vals = vals.view(np.uint64)
-        lead, new = _gauss_jordan(piv.zp, piv.reduce(rix, cols, vals, nb))
+        batch = mat.dense(lo, min(lo + _ROWS_PER_READ, mat.nrows)).view(np.uint64)
+        batch = batch[batch.any(axis=1)]  # the nonempty rows
+        if not batch.size:
+            continue
+        lead, new = _gauss_jordan(piv.zp, piv.reduce(batch))
         if not lead:
             continue
-        if len(piv.pivots) + len(lead) > maxrank:
+        if piv.pivots.size + len(lead) > maxrank:
             raise AssertionError("rank above its proven bound; arithmetic bug")
         piv.insert(lead, new)
-        if np.any(piv.reduce(rix, cols, vals, nb)):
+        if np.count_nonzero(piv.reduce(batch)):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")
-        if len(piv.pivots) == maxrank:
+        if piv.pivots.size == maxrank:
             break
     order = np.argsort(piv.pivots)
-    return EchelonResult(p, c, tuple(sorted(piv.pivots)), piv.block[order].view(np.int64))
+    return EchelonResult(p, c, tuple(piv.pivots[order].tolist()), piv.block[order].view(np.int64))
 
 
 def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Optional[list[int]]:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .exactla import (
     ENGINE_BYTES_LIMIT,
+    DenseRows,
     FieldMatrix,
     RowArrays,
     SizeGuardExceeded,
@@ -132,7 +133,7 @@ class _IdealRows(RowArrays):
         return ip - s, cols[s:e], vals[s:e]
 
 
-class _RelationRows(RowArrays):
+class _RelationRows(DenseRows):
     """The rows x_k (x) [m] - x_j (x) [m'] of a relation matrix, one per
     pair of positions a = k * M + m, b = j * M + m' (M the number of
     degree-q monomials).  Its columns are the distinct products of a
@@ -142,23 +143,23 @@ class _RelationRows(RowArrays):
     entries of one half share a column, but the two halves may, so a row is
     written into a dense block and its second half subtracted mod p; a row
     joining two basis monomials comes out empty.  Rows are built on each
-    request, and `forms` (the degree-q monomial columns -> their normal
-    forms) is asked for the rows of the monomials in the leading rows,
-    twice as many each time a batch passes those asked for, so the rows
-    after rref's early stop are never built and the normal forms they
-    read at most in part, while reading every row asks `forms` a
-    logarithmic number of times."""
+    request as that block, which is what rref reads, and `forms` (the
+    degree-q monomial columns -> their normal forms) is asked for the rows
+    of the monomials in the leading rows, twice as many each time a batch
+    passes those asked for, so the rows after rref's early stop are never
+    built and the normal forms they read at most in part, while reading
+    every row asks `forms` a logarithmic number of times."""
 
     def __init__(self, forms: Callable[[np.ndarray], np.ndarray], m: int, products: np.ndarray,
                  ucol: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
         self._forms, self._m, self._a, self._b, self._p = forms, m, a, b, p
-        self.products, self.ucol = products, ucol
+        self.products, self.ucol, self.ncols = products, ucol, products.size
         self._formed = 0  # the leading rows whose normal forms were asked for
 
     def __len__(self) -> int:
         return self._a.size
 
-    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
         m, a, b = self._m, self._a[lo:hi], self._b[lo:hi]
         if hi > self._formed:
             end = min(self._a.size, max(hi, 2 * self._formed))
@@ -167,14 +168,11 @@ class _RelationRows(RowArrays):
             self._formed = end
         nf = self._forms(np.concatenate([a % m, b % m]))
         rows = np.arange(a.size)[:, None]
-        block = np.zeros((a.size, self.products.size), dtype=np.int64)
+        block = np.zeros((a.size, self.ncols), dtype=np.int64)
         block[rows, self.ucol[a // m]] = nf[:a.size]
         second = rows, self.ucol[b // m]
         block[second] = (block[second] - nf[a.size:]) % self._p
-        rix, cols = np.nonzero(block)
-        indptr = np.zeros(a.size + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(block, axis=1), out=indptr[1:])
-        return indptr, cols, block[rix, cols]
+        return block
 
 
 class _NormalForms:

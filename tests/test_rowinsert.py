@@ -1,7 +1,8 @@
 """rref's batched elimination and its exact product: float-quotient
-arithmetic, the limb-split product, exactness at the limb- and word-boundary
-primes against the sparse reference, the stop at the rank bound, the
-pre-flight size guard, the residual check and the memory budget."""
+arithmetic, the one-GEMM and limb-split products, exactness at the limb- and
+word-boundary primes against the sparse reference, dense row reads, the stop
+at the rank bound, the pre-flight size guard, the residual check and the
+memory budget."""
 
 import random
 import tracemalloc
@@ -32,11 +33,12 @@ P62 = (1 << 62) - 57
 # the primes on either side of 2^21 and 2^42, where residues take one more
 # 21-bit limb in matmul_modp, of 2^23, of 2^29, where a 32-row batch stops
 # deferring its reductions (32 (p-1)^2 + p < 2^63 holds for 536870909 and
-# fails for the next prime), and of 2^32, where products of residues stop
-# fitting in 64 bits
+# fails for the next prime), and 2^31 - 1 and the largest prime below 2^32,
+# whose products of residues still fit in 64 bits
 DEFER_LAST, DEFER_NEXT = 536870909, 536870923
+WORD_LAST = 4294967291  # the largest prime below 2^32
 BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, DEFER_LAST, DEFER_NEXT, (1 << 31) - 1,
-                   4398046511093, 4398046511119, (1 << 61) - 1, P62]
+                   WORD_LAST, 4398046511093, 4398046511119, (1 << 61) - 1, P62]
 
 
 def seeded_ring(n, d, prime, seed):
@@ -194,6 +196,44 @@ def test_gauss_jordan_float_quotient_updates_match_python_ints(p):
             assert (y < p).all()
 
 
+@pytest.mark.parametrize("p", [(1 << 31) - 1, WORD_LAST])
+def test_gauss_jordan_numpy_factors_match_python_ints(p):
+    # between the deferral bound and 2^32 the factors f inv mod p are formed
+    # in uint64, where f inv nearly fills 64 bits at the largest prime below
+    # 2^32, and every update is a*b mod p, so the batch stays in [0, p); in
+    # row-major and in column-major order, which rref passes
+    assert 32 * (p - 1) ** 2 + p >= 1 << 63 and (p - 1) ** 2 < 1 << 64
+    rng = random.Random(p)
+    for order in "CFCF":
+        uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
+        for rows in ([[p - 1] * 48] * 32, uniform):
+            y = np.array(rows, dtype=np.uint64, order=order)
+            lead, new = exactla._gauss_jordan(_Zp64(p), y)
+            assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
+            assert (y < p).all()
+
+
+def test_one_limb_product_is_one_gemm_up_to_its_exact_bound(monkeypatch):
+    # below 2^21 an inner dimension of at most kc = (2^53 - 1) // (p-1)^2
+    # sums exactly in one float64 GEMM per row block, without limbs; all
+    # p-1 at k = kc is the largest such sum, and rows past one row block
+    # cover the blocking
+    p = 2097143  # the largest prime below 2^21
+    kc = ((1 << 53) - 1) // (p - 1) ** 2
+    rng = random.Random(p + 4)
+    monkeypatch.setattr(exactla, "_limbs", lambda x, nl: pytest.fail("limbs split"))
+    for m, k, w in [(3, kc, 4), (_CHUNK // 5 + 3, 11, 5), (1, 1, 1)]:
+        a = np.full((m, k), p - 1, dtype=np.uint64)
+        a[1:] = edge_values(rng, p, (m - 1, k))
+        b = np.full((k, w), p - 1, dtype=np.uint64)
+        b[:, 1:] = edge_values(rng, p, (k, w - 1))
+        expect = python_matmul(a, b, p)
+        assert expect[0][0] == k * (p - 1) ** 2 % p
+        assert matmul_modp(a, b, p).tolist() == expect
+        got = matmul_modp(a.view(np.int64), b.view(np.int64), p)
+        assert got.dtype == np.int64 and got.tolist() == expect
+
+
 def all_ones_below(p):
     """The largest residue whose 21-bit limbs below the top one are all
     2^21 - 1, so that limb sums in matmul_modp are as large as p allows."""
@@ -343,6 +383,53 @@ def test_relation_matrix_reads_one_block_of_rows():
     assert e.pivots == ref.pivots
     assert np.array_equal(e.free_block(), ref.free_block())
     assert recorded.asked == [(0, _ROWS_PER_READ)]
+
+
+def scattered(rows, lo, hi, ncols):
+    """Rows lo..hi-1 of a RowArrays as a dense array, from csr() entry by
+    entry."""
+    indptr, cols, vals = rows.csr(lo, hi)
+    out = np.zeros((hi - lo, ncols), dtype=np.int64)
+    for i in range(hi - lo):
+        for j, v in zip(cols[indptr[i]:indptr[i + 1]].tolist(),
+                        vals[indptr[i]:indptr[i + 1]].tolist()):
+            out[i, j] = v
+    return out
+
+
+def test_dense_reads_match_csr_reads():
+    # stored CSR rows with empty ones, ideal rows, relation rows (a row
+    # joining two basis monomials is empty) and the rows of an array, over
+    # ranges with empty rows and a final partial block; the array is
+    # column-major, as mult_map's transposed product is
+    rng = random.Random(45)
+    p, c = 1048573, 30
+    dict_rows = [{} if rng.random() < 0.3 else
+                 {j: rng.randrange(1, p) for j in range(c) if rng.random() < 0.2}
+                 for _ in range(75)]
+    ring = seeded_ring(3, 4, p, 45)
+    mats = [from_rows(p, c, dict_rows), ring.ideal_matrix(5), ring.relation_matrix(4),
+            FieldMatrix.from_array(p, np.asfortranarray(from_rows(p, c, dict_rows).to_dense()))]
+    empty = 0
+    for mat in mats:
+        n = mat.nrows
+        assert n > _ROWS_PER_READ + 5 and n % _ROWS_PER_READ
+        for lo, hi in [(0, _ROWS_PER_READ), (5, 5 + _ROWS_PER_READ),
+                       (n // _ROWS_PER_READ * _ROWS_PER_READ, n), (n - 1, n), (3, 3), (0, n)]:
+            got = mat.rows.dense(lo, hi, mat.ncols)
+            assert got.dtype == np.int64 and got.shape == (hi - lo, mat.ncols)
+            assert np.array_equal(got, scattered(mat.rows, lo, hi, mat.ncols))
+            empty += int((~got.any(axis=1)).sum())
+    assert empty
+    # FieldMatrix.dense counts the leading rows it hands out, as csr does
+    mat = from_rows(p, c, dict_rows)
+    assert mat.rows_read == 0
+    assert np.array_equal(mat.dense(0, 7), scattered(mat.rows, 0, 7, c))
+    assert mat.rows_read == 7
+    mat.dense(2, 4)
+    assert mat.rows_read == 7
+    assert np.array_equal(mat.dense(), mat.to_dense())
+    assert mat.rows_read == mat.nrows
 
 
 def test_block_size_guard_refuses_before_allocating(monkeypatch):
