@@ -170,6 +170,7 @@ def cmd_wlp(run: Envelope) -> int:
                           {"verdict": "SmoothnessNotCertified", "dims": None, "rank": None},
                           [f"wlp: smoothness not certified at prime {args.prime}"])
     sweep = wlp_sweep(ring, trials=args.trials, rng_seed=args.seed)
+    run.timings["descended"] = sweep.descended
     run.timings["mirrored"] = sweep.mirrored
     dims = list(ring.hilbert_function())
     detail = {str(p): {"outcome": v.outcome, "required": v.required_rank,

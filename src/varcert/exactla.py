@@ -170,8 +170,9 @@ class EchelonResult:
         self.p = p
         self.ncols = ncols
         self.pivots = pivots
-        pivset = set(pivots)
-        self._free = tuple(j for j in range(ncols) if j not in pivset)
+        free = np.ones(ncols, dtype=bool)
+        free[list(pivots)] = False
+        self._free = tuple(np.flatnonzero(free).tolist())
         self._block = block
 
     @property
@@ -350,6 +351,8 @@ class _PivotRows:
         at the free columns and column-major: x - coef @ block, with x and
         coef the batch's free and pivot columns, over the block rows coef
         touches, a few at a time, and their nonzero columns."""
+        if not self.pivots.size:  # nothing to reduce by: the batch itself
+            return np.array(batch, order="F")
         x = batch.T[self.free].T  # a gathered copy, column-major
         coef = batch[:, self.pivots]
         touched = np.flatnonzero(coef.any(axis=0))
@@ -372,12 +375,13 @@ class _PivotRows:
         block = self.block
         g = block[:, lead]
         hit = np.flatnonzero(g.any(axis=1))
-        nzc = np.flatnonzero(new.any(axis=0))
-        step = max(1, _CHUNK // max(1, nzc.size))
-        for a in range(0, hit.size, step):
-            at = np.ix_(hit[a:a + step], nzc)
-            block[at] = self.zp.sub(block[at], matmul_modp(g[hit[a:a + step]], new[:, nzc],
-                                                           int(self.zp.p)))
+        if hit.size:  # none on a first batch, whose block has no rows
+            nzc = np.flatnonzero(new.any(axis=0))
+            step = max(1, _CHUNK // max(1, nzc.size))
+            for a in range(0, hit.size, step):
+                at = np.ix_(hit[a:a + step], nzc)
+                block[at] = self.zp.sub(block[at], matmul_modp(g[hit[a:a + step]], new[:, nzc],
+                                                               int(self.zp.p)))
         step = max(1, _CHUNK // w)
         keep = np.delete(np.arange(w), lead)
         w2 = keep.size
@@ -391,9 +395,12 @@ class _PivotRows:
         self.free = self.free[keep]
 
 
-def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Bring the rows of the uint64 array y to reduced echelon form; returns
-    the pivot column of each nonzero row and those rows.  A pivot row clears
+def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.ndarray]:
+    """Bring the rows of the uint64 array y to reduced echelon form, up to
+    budget pivots; returns the pivot column of each pivot row and those
+    rows.  Once budget pivots are found the rows after the last are not
+    scanned: with budget the rank left to a proven bound, they lie in the
+    span, which the caller's residual check verifies.  A pivot row clears
     its column unnormalized, with factors scaled by its pivot's inverse;
     later pivots leave that entry alone, so rows are normalized at the end.
     Each update is applied to the whole slice y[:, j:] in place, so y is
@@ -459,6 +466,8 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray) -> tuple[list[int], np.ndarray]:
         lead.append(j)
         rows.append(i)
         invs.append(inv)
+        if len(lead) == budget:
+            break
     new = y[rows] % p if deferred else y[rows]
     new = new.view(np.uint64)
     at, invs = np.nonzero(new), np.array(invs, dtype=np.uint64)
@@ -477,9 +486,13 @@ def rref(mat: FieldMatrix) -> EchelonResult:
     brought to reduced echelon form, and its pivots are back-substituted
     into the pivot rows (one more).  Reduced again, the batch must vanish:
     the row space only grows, so every row read lies in the final one.
-    Reading stops at the matrix's rank bound (at most ncols), where the
-    pivot rows span the row space.  A pivot block whose largest size, r x
-    (ncols - r), exceeds ENGINE_BYTES_LIMIT is refused before allocating."""
+    Elimination stops at the matrix's rank bound (at most ncols), where the
+    pivot rows span the row space: no further batch is read, and a batch
+    that reaches it stops scanning its rows there.  Its remaining rows are
+    still reduced by the residual check, so a bound below the true rank
+    leaves a nonzero residue and is caught like any arithmetic fault.  A
+    pivot block whose largest size, r x (ncols - r), exceeds
+    ENGINE_BYTES_LIMIT is refused before allocating."""
     p, c = mat.p, mat.ncols
     if mat.nrows == 0 or c == 0 or mat.rank_bound == 0:
         return EchelonResult(p, c, (), np.zeros((0, c), dtype=np.int64))
@@ -496,11 +509,9 @@ def rref(mat: FieldMatrix) -> EchelonResult:
         batch = batch[batch.any(axis=1)]  # the nonempty rows
         if not batch.size:
             continue
-        lead, new = _gauss_jordan(piv.zp, piv.reduce(batch))
+        lead, new = _gauss_jordan(piv.zp, piv.reduce(batch), maxrank - piv.pivots.size)
         if not lead:
             continue
-        if piv.pivots.size + len(lead) > maxrank:
-            raise AssertionError("rank above its proven bound; arithmetic bug")
         piv.insert(lead, new)
         if np.count_nonzero(piv.reduce(batch)):
             raise AssertionError("nonzero residue after elimination; arithmetic bug")

@@ -295,12 +295,13 @@ class JacobianRing:
         """Eliminate degree p once: from the relations of degree p-1 for
         p >= d, otherwise from the degree-p ideal matrix.  Either keeps the
         columns of the basis monomials, the stage and the normal forms: an
-        ideal step those of every degree-p monomial (none below d-1, where
-        they are the identity), a relation step those of its products,
-        from which `normal_forms` forms the rest on request.  An ideal
-        step's normal forms over ENGINE_BYTES_LIMIT are refused, kept or
-        not."""
-        self._check_columns(p)
+        ideal step those of every degree-p monomial, a relation step those
+        of its products, from which `normal_forms` forms the rest on
+        request.  Below d-1 the ideal matrix has no rows, so nothing is
+        eliminated: the basis is every monomial, and the normal forms are
+        the identity, kept as none.  An ideal step's normal forms over
+        ENGINE_BYTES_LIMIT are refused, kept or not."""
+        cols = self._check_columns(p)
         relation = p >= self.degree
         if relation:
             self.graded_dim(p - 1)  # the degree below is its own stage
@@ -308,18 +309,22 @@ class JacobianRing:
         if relation:
             mat = self.relation_matrix(p - 1)
             nf, basis, rank = self._next_normal_forms(p - 1, mat)
+            shape, read = [mat.nrows, mat.ncols], mat.rows_read
+        elif p < self.degree - 1:
+            _check_step_bytes(p, "ideal", 8 * cols * cols)
+            nf, basis, rank = None, np.arange(cols, dtype=np.int64), 0
+            shape, read = [0, cols], 0
         else:
             mat = self.ideal_matrix(p)
             e = rref(mat)
             _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
-            nf = (_NormalForms(e.normal_forms(), np.arange(e.ncols), e.ncols)
-                  if p >= self.degree - 1 else None)
+            nf = _NormalForms(e.normal_forms(), np.arange(e.ncols), e.ncols)
             basis, rank = np.array(e.free_columns(), dtype=np.int64), e.rank
+            shape, read = [mat.nrows, mat.ncols], mat.rows_read
         self._pieces[p] = nf, basis
         self._stages[p] = {
             "degree": p, "route": "relation" if relation else "ideal",
-            "shape": [mat.nrows, mat.ncols], "rows_read": mat.rows_read,
-            "rank": rank, "dim": basis.size,
+            "shape": shape, "rows_read": read, "rank": rank, "dim": basis.size,
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
 
     def relation_matrix(self, q: int) -> FieldMatrix:

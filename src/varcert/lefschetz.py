@@ -173,6 +173,7 @@ class WlpReport:
     holds: bool
     shared_multiplier: HomogeneousForm
     mirrored: list[int]  # degrees whose verdict was read from their mirror
+    descended: list[int]  # degrees whose injectivity descended from the middle one
 
 
 def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
@@ -183,17 +184,31 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
     generic l should work everywhere at once); degrees it fails fall back
     to independent sampling.
 
-    A certified-smooth ring is Gorenstein with socle degree s, so x l:
-    R_{p-1} -> R_p is the transpose of x l: R_{s-p} -> R_{s+1-p} in dual
-    bases, with the same rank.  A degree p whose mirror s+1-p < p the
-    shared form certified therefore takes that verdict with source and
-    target swapped, and no map is built; it is listed in `mirrored`.  The
-    verdict is the one a direct computation gives."""
+    A certified-smooth ring is Gorenstein with socle degree s, so most
+    verdicts follow from one map.  Below the middle degree top =
+    (s+1)//2, injectivity descends (Harima-Migliore-Nagel-Watanabe 2003,
+    Prop. 2.1): if x l: R_{top-1} -> R_top is injective, p < top and l g = 0
+    for g in R_{p-1}, then l (u g) = 0, so u g = 0, for every u in
+    R_{top-p}; as R_{s+1-p} = R_{top-p} R_{s+1-top}, g pairs to zero with
+    R_{s+1-p}, and the perfect pairing R_{p-1} x R_{s+1-p} -> R_s gives
+    g = 0.  So once the shared form's map into top is injective, every p <
+    top takes the verdict that map certifies, of rank dim R_{p-1}, and no
+    map is built there; those degrees are listed in `descended`.  Above the
+    middle, x l: R_{p-1} -> R_p is the transpose of x l: R_{s-p} ->
+    R_{s+1-p} in dual bases, with the same rank, so a degree p whose mirror
+    s+1-p < p the shared form certified takes that verdict with source and
+    target swapped, and no map is built; it is listed in `mirrored`.
+    Either verdict is the one a direct computation gives.  When the shared
+    form is not injective into top, every degree below it is computed."""
     prime = ring.field.p
     shared = random_form(ring.n, 1, ring.field, trial_rng(rng_seed, prime, 1, 0, 0))
     verdicts: dict[int, RankVerdict] = {}
     mirrored: list[int] = []
+    descended: list[int] = []
     mirror = ring.certify_smooth()
+    top = (ring.socle + 1) // 2
+    middle = mult_map(ring, shared, top) if mirror and top >= 1 else None
+    descend = middle is not None and middle.is_injective()
     for p in range(1, ring.socle + 1):
         twin = verdicts.get(ring.socle + 1 - p) if mirror else None
         if twin is not None and twin.multiplier is shared:
@@ -207,13 +222,18 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
             verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, 0, dim_a, dim_b,
                                       trials_used=0, failure_bound=Fraction(0))
             continue
-        gm = mult_map(ring, shared, p)
-        if gm.rank == required:
-            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, gm.rank, required,
+        if p < top and descend:
+            rank = dim_a
+            descended.append(p)
+        elif p == top and middle is not None:
+            rank = middle.rank
+        else:
+            rank = mult_map(ring, shared, p).rank
+        if rank == required:
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, rank, required,
                                       dim_a, dim_b, trials_used=1,
                                       failure_bound=Fraction(0), multiplier=shared)
         else:
             verdicts[p] = certify_general_max_rank(ring, 1, p, trials, rng_seed)
     holds = all(v.certified for v in verdicts.values())
-    return WlpReport(verdicts, holds, shared, mirrored)
-
+    return WlpReport(verdicts, holds, shared, mirrored, descended)

@@ -285,11 +285,13 @@ def euler_check(f: HomogeneousForm) -> bool:
     """Arithmetic self-test: d*F must equal sum_i x_i * dF/dx_i."""
     if f.degree < 1:
         return True
-    lhs = f.scaled(f.degree)
-    rhs = HomogeneousForm(f.n, f.degree, f.field, {})
+    p = f.field.p
+    rhs: dict[Monomial, int] = {}
     for i, fi in enumerate(partial_derivatives(f)):
-        rhs = rhs + multiply(variable(i, f.n, f.field), fi)
-    return lhs == rhs
+        for m, c in fi.terms.items():
+            xm = m[:i] + (m[i] + 1,) + m[i + 1:]
+            rhs[xm] = (rhs.get(xm, 0) + c) % p
+    return f.scaled(f.degree).terms == {m: c for m, c in rhs.items() if c}
 
 
 def random_form(n: int, degree: int, field: PrimeField, rng) -> HomogeneousForm:

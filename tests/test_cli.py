@@ -454,18 +454,19 @@ STAGE_KEYS = {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
 
 
 def test_timings_show_mirrored_degrees_and_one_record_per_stage(capsys):
-    # wlp on Fermat (3,4), socle 8: degrees 5..8 are read from 4..1, so the
-    # only map into a relation degree (4..9) is the one into degree 4; every
-    # stage, in wlp and in hilbert, records its one elimination and nothing
-    # else
+    # wlp on Fermat (3,4), socle 8: degrees 1..3 descend from the map into
+    # degree 4 and 5..8 are read from 4..1, so the only map built is the one
+    # into degree 4; every stage, in wlp and in hilbert, records its one
+    # elimination and nothing else
     code, doc, _ = run_json(capsys, "wlp", "--fermat", "3", "4", "--prime", P)
     assert code == 0
     timings = doc["timings_ms"]
+    assert timings["descended"] == [1, 2, 3]
     assert timings["mirrored"] == [5, 6, 7, 8]
     assert [s["degree"] for s in timings["stages"] if s["route"] == "relation"] == [4, 5, 6, 7, 8, 9]
     assert all(set(s) == STAGE_KEYS for s in timings["stages"])
     code, doc, _ = run_json(capsys, "hilbert", "--fermat", "3", "4", "--prime", P)
-    assert code == 0 and "mirrored" not in doc["timings_ms"]
+    assert code == 0 and not {"descended", "mirrored"} & set(doc["timings_ms"])
     assert all(set(s) == STAGE_KEYS for s in doc["timings_ms"]["stages"])
 
 

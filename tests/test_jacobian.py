@@ -214,9 +214,10 @@ def test_dims_deterministic_across_instances():
 
 
 def test_each_degree_is_eliminated_once(monkeypatch):
-    # every degree is computed once: by its ideal matrix up to d-1, by
-    # exactly one relation matrix (of the degree below) from d on;
-    # each step is one rref, and quotient_basis reads what the step kept
+    # every degree is computed once: below d-1 by no elimination (the ideal
+    # is empty there), at d-1 by its ideal matrix, by exactly one relation
+    # matrix (of the degree below) from d on; each step is at most one rref,
+    # and quotient_basis reads what the step kept
     import varcert.jacobian as jacobian
     calls = []
     real = jacobian.rref
@@ -242,7 +243,7 @@ def test_each_degree_is_eliminated_once(monkeypatch):
     ring.hilbert_function()
     for p in range(ring.socle + 2):
         ring.quotient_basis(p)
-    assert ideal == list(range(4))
+    assert ideal == [3]
     assert relation == list(range(3, ring.socle + 1))
     assert len(calls) == len(ideal) + len(relation)
     assert [s["route"] for s in ring.stages()] == ["ideal"] * 4 + ["relation"] * 6

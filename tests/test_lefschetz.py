@@ -257,6 +257,49 @@ def test_mirrored_wlp_sweep_matches_a_direct_sweep(label, make, seed, mirrored):
     assert rep.holds == all(v.certified for v in direct.values())
 
 
+# (label, ring factory, rng_seed, the degrees whose verdict descended from
+# the middle degree (socle+1)//2)
+DESCENT_CASES = [
+    ("fermat-n3d4-p10007", MIRROR_CASES[0][1], 0, [1, 2, 3]),
+    ("seeded-n3d5-p20", MIRROR_CASES[1][1], 0, [1, 2, 3, 4, 5]),
+    ("seeded-n4d4-p62", MIRROR_CASES[2][1], 0, [1, 2, 3, 4]),
+    # the shared form is not injective into degree 5, the middle one
+    ("fermat-n4d4-p5", MIRROR_CASES[3][1], 2, []),
+    ("singular-quartic", MIRROR_CASES[4][1], 0, []),
+]
+
+
+@pytest.mark.parametrize("label,make,seed,descended", DESCENT_CASES,
+                         ids=[c[0] for c in DESCENT_CASES])
+def test_wlp_sweep_descends_from_the_middle_degree(monkeypatch, label, make, seed, descended):
+    # once the shared form is injective into the middle degree, that one map
+    # is all the sweep builds: every lower degree descends from it and every
+    # higher one is mirrored; otherwise the middle map is built once and the
+    # lower degrees are computed as before
+    import varcert.lefschetz as lefschetz
+    ring = make()
+    smooth = ring.certify_smooth()
+    built = []
+
+    def counting(r, h, p):
+        built.append((p, h))
+        return mult_map(r, h, p)
+
+    monkeypatch.setattr(lefschetz, "mult_map", counting)
+    rep = wlp_sweep(ring, trials=3, rng_seed=seed)
+    top = (ring.socle + 1) // 2
+    assert rep.descended == descended
+    if descended:
+        assert built == [(top, rep.shared_multiplier)]
+        assert sorted(rep.descended + [top] + rep.mirrored) == list(range(1, ring.socle + 1))
+    elif smooth:
+        assert [p for p, h in built if h is rep.shared_multiplier].count(top) == 1
+    for p in rep.descended:
+        v = rep.verdicts[p]
+        assert v.certifies_injectivity() and v.multiplier is rep.shared_multiplier
+        assert v.best_rank == v.required_rank == ring.graded_dim(p - 1)
+
+
 def test_injectivity_descends_on_fermat():
     ring = fermat_ring(3, 4, F)
     ell = parse_form("x0 + 2x1 + 3x2 + 5x3", 3, F)

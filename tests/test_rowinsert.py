@@ -176,7 +176,7 @@ def test_gauss_jordan_defers_reduction_below_its_bound(p):
     uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
     for rows in ([[p - 1] * 48] * 32, uniform):
         y = np.array(rows, dtype=np.uint64)
-        lead, new = exactla._gauss_jordan(_Zp64(p), y)
+        lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
         assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
     assert ((y >= p).any(), 32 * (p - 1) ** 2 + p < 1 << 63) == ((p == DEFER_LAST),) * 2
 
@@ -191,7 +191,7 @@ def test_gauss_jordan_float_quotient_updates_match_python_ints(p):
         uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
         for rows in ([[p - 1] * 48] * 32, uniform):
             y = np.array(rows, dtype=np.uint64, order=order)
-            lead, new = exactla._gauss_jordan(_Zp64(p), y)
+            lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
             assert (y < p).all()
 
@@ -208,7 +208,7 @@ def test_gauss_jordan_numpy_factors_match_python_ints(p):
         uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
         for rows in ([[p - 1] * 48] * 32, uniform):
             y = np.array(rows, dtype=np.uint64, order=order)
-            lead, new = exactla._gauss_jordan(_Zp64(p), y)
+            lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
             assert (y < p).all()
 
@@ -465,6 +465,27 @@ def test_residual_check_catches_a_corrupted_product(monkeypatch, p):
     monkeypatch.setattr(exactla, "matmul_modp", corrupted)
     with pytest.raises(AssertionError, match="nonzero residue"):
         rref(mat)
+
+
+@pytest.mark.parametrize("p", [1048573, P62])
+@pytest.mark.parametrize("r,c,k", [(20, 30, 20), (60, 50, 40)], ids=["one-batch", "mid-batch"])
+def test_a_forged_rank_bound_leaves_a_residue(p, r, c, k):
+    # an r x c product of rank k, its rows in general position: with the
+    # true bound k the echelon is the reference's; with k - 1 the batch that
+    # reaches it stops scanning with an independent row left (after row 19
+    # of the one batch, or after 7 of the second batch's rows, mid-batch),
+    # and the residual check, which reduces every row read, must catch it
+    rng = random.Random(r * p)
+    u = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
+    v = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
+    rows = [{j: sum(a * b for a, b in zip(row, col)) % p for j, col in enumerate(zip(*v))}
+            for row in u]
+    mat = from_rows(p, c, rows)
+    got, ref = rref(FieldMatrix(p, c, mat.rows, rank_bound=k)), rref_sparse(mat)
+    assert got.rank == ref.rank == k and got.pivots == ref.pivots
+    assert np.array_equal(got.free_block(), ref.free_block())
+    with pytest.raises(AssertionError, match="nonzero residue"):
+        rref(FieldMatrix(p, c, mat.rows, rank_bound=k - 1))
 
 
 def test_smoothness_echelon_memory_budget():
