@@ -77,6 +77,8 @@ def infer_variable_count(text: str) -> int:
 
 def load_input_form(args, field: PrimeField) -> tuple[HomogeneousForm, dict]:
     if args.fermat is not None:
+        if args.form_file is not None:
+            raise CliError("give either a form file or --fermat N D, not both")
         n, d = args.fermat
         if not (1 <= n <= 8 and d >= 2):
             raise CliError(f"--fermat needs 1 <= n <= 8 and d >= 2, got {n} {d}")

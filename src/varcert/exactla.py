@@ -1,15 +1,16 @@
 """Exact row reduction and rank certificates over Z/p, p < 2^63.
 
-rref() is one batched Gauss-Jordan for every prime, reading rows as dense
-blocks (FieldMatrix.dense) however they are held: CSR arrays, an array, or
-rows built on request.  matmul_modp() is the one exact product it and its
-callers use: below 2^21, with an inner dimension short enough, one float64
-GEMM; otherwise float64 GEMMs of 21-bit limbs, recombined in uint64 words
-that a rounded float64 estimate of their quotient by p reduces (_Zp64).
-The reduced row echelon form is unique, so pivot columns and quotient
-coordinates do not depend on row order; it is kept as one rank x
-free-columns int64 block.  dense_rank_oracle() is a deliberately separate
-textbook elimination used only to cross-check ranks.
+rref() is one batched Gauss-Jordan for every prime.  Rows are read one
+way, as dense blocks (FieldMatrix.dense), however they are held: an array,
+rows built on request, or the CSR arrays of a matrix dump.  matmul_modp()
+is the one exact product it and its callers use: below 2^21, with an inner
+dimension short enough, one float64 GEMM; otherwise float64 GEMMs of
+21-bit limbs, recombined in uint64 words that a rounded float64 estimate
+of their quotient by p reduces (_Zp64).  The reduced row echelon form is
+unique, so pivot columns and quotient coordinates do not depend on row
+order; it is kept as one rank x free-columns int64 block.
+dense_rank_oracle() is a deliberately separate textbook elimination used
+only to cross-check ranks.
 """
 
 from __future__ import annotations
@@ -37,68 +38,48 @@ class MatrixFormatError(Exception):
 
 
 class RowArrays:
-    """Rows that are held, or built on demand, as numpy arrays.  Subclasses
-    define __len__ and csr(), or derive from DenseRows; iterating yields
+    """Rows that are held, or built on demand, as dense blocks ncols wide:
+    subclasses set ncols and define __len__ and dense().  Iterating yields
     dict rows."""
+
+    ncols: int
 
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows lo..hi-1 as (indptr starting at 0, intp columns, int64
-        values in [0, p))."""
-        raise NotImplementedError
-
-    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
+    def dense(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 as an (hi - lo) x ncols int64 array of entries in
-        [0, p), which the caller must not write to: by default csr()
-        scattered into zeros."""
-        indptr, cols, vals = self.csr(lo, hi)
-        out = np.zeros((hi - lo, ncols), dtype=np.int64)
-        out[np.repeat(np.arange(hi - lo), np.diff(indptr)), cols] = vals
-        return out
+        [0, p), which the caller must not write to."""
+        raise NotImplementedError
 
     def __iter__(self):
         # a block of rows at a time, so rows built on demand are never all
         # in memory
         for lo in range(0, len(self), _ROWS_PER_READ):
-            indptr, cols, vals = self.csr(lo, min(lo + _ROWS_PER_READ, len(self)))
-            ip = indptr.tolist()
-            for s, e in zip(ip, ip[1:]):
-                yield dict(zip(cols[s:e].tolist(), vals[s:e].tolist()))
+            for row in self.dense(lo, min(lo + _ROWS_PER_READ, len(self))):
+                nz = np.flatnonzero(row)
+                yield dict(zip(nz.tolist(), row[nz].tolist()))
 
 
 class CsrRows(RowArrays):
-    """Rows stored whole as CSR arrays."""
+    """Rows stored whole as CSR arrays (indptr, intp columns, int64 values
+    in [0, p)), scattered into zeros when read."""
 
-    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        self.indptr, self.cols, self.vals = indptr, cols, vals
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
+        self.indptr, self.cols, self.vals, self.ncols = indptr, cols, vals, ncols
 
     def __len__(self) -> int:
         return self.indptr.size - 1
 
-    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def dense(self, lo: int, hi: int) -> np.ndarray:
         ip = self.indptr[lo:hi + 1]
         s, e = int(ip[0]), int(ip[-1])
-        return ip - s, self.cols[s:e], self.vals[s:e]
+        out = np.zeros((hi - lo, self.ncols), dtype=np.int64)
+        out[np.repeat(np.arange(hi - lo), np.diff(ip)), self.cols[s:e]] = self.vals[s:e]
+        return out
 
 
-class DenseRows(RowArrays):
-    """Rows held, or built on demand, as dense blocks ncols wide, the
-    matrix's width: subclasses define __len__ and dense(), and csr() gives
-    the nonzero entries of dense()."""
-
-    ncols: int
-
-    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        block = self.dense(lo, hi, self.ncols)
-        i, j = np.nonzero(block)
-        indptr = np.zeros(block.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(block, axis=1), out=indptr[1:])
-        return indptr, j, block[i, j]
-
-
-class ArrayRows(DenseRows):
+class ArrayRows(RowArrays):
     """The rows of a 2-D int64 array, held as it is."""
 
     def __init__(self, a: np.ndarray):
@@ -107,18 +88,18 @@ class ArrayRows(DenseRows):
     def __len__(self) -> int:
         return self.a.shape[0]
 
-    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
+    def dense(self, lo: int, hi: int) -> np.ndarray:
         return self.a[lo:hi]
 
 
 @dataclass
 class FieldMatrix:
-    """Sparse rows over Z/p, held as a RowArrays: stored CSR arrays, an
-    array, or rows built on each request.
+    """Rows over Z/p, held as a RowArrays: stored CSR arrays, an array, or
+    rows built on each request.
 
     rank_bound, when given, must be a proven upper bound on the rank: rref
-    stops reading rows once it reaches it.  rows_read counts the
-    leading rows handed out through csr() or dense()."""
+    stops reading rows once it reaches it.  rows_read counts the leading
+    rows handed out through dense()."""
 
     p: int
     ncols: int
@@ -136,27 +117,12 @@ class FieldMatrix:
         keeps."""
         return cls(p, a.shape[1], ArrayRows(a))
 
-    def csr(self, lo: int = 0,
-            hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows lo..hi-1 (all by default) as numpy CSR arrays: indptr
-        starting at 0, intp column indices, int64 values in [0, p)."""
-        hi = self.nrows if hi is None else hi
-        self.rows_read = max(self.rows_read, hi)
-        return self.rows.csr(lo, hi)
-
     def dense(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Rows lo..hi-1 (all by default) as an int64 array of entries in
-        [0, p), not to be written to.  The one way rref reads rows."""
+        [0, p), not to be written to.  The one way rows are read."""
         hi = self.nrows if hi is None else hi
         self.rows_read = max(self.rows_read, hi)
-        return self.rows.dense(lo, hi, self.ncols)
-
-    def to_dense(self, dtype=np.int64) -> np.ndarray:
-        """The nrows x ncols array of entries in [0, p)."""
-        indptr, cols, vals = self.csr()
-        out = np.zeros((self.nrows, self.ncols), dtype=dtype)
-        out[np.repeat(np.arange(self.nrows), np.diff(indptr)), cols] = vals
-        return out
+        return self.rows.dense(lo, hi)
 
 
 class EchelonResult:
@@ -536,12 +502,8 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Option
     v = [0] * mat.ncols
     v[free] = 1
     v[:free] = (-ech.free_block()[:free, 0] % p).tolist()
-    # one exact CSR product, in Python ints
-    indptr, cols, vals = mat.csr()
-    acc = np.zeros(mat.nrows, dtype=object)
-    np.add.at(acc, np.repeat(np.arange(mat.nrows), np.diff(indptr)),
-              vals.astype(object) * np.array(v, dtype=object)[cols])
-    if (acc % p).any():
+    # one exact product, in Python ints
+    if (mat.dense().astype(object) @ np.array(v, dtype=object) % p).any():
         raise AssertionError("kernel witness failed exact verification")
     return v
 
@@ -561,7 +523,7 @@ def dense_rank_oracle(mat: FieldMatrix) -> int:
     so no product overflows."""
     _check_oracle_size(mat.nrows, mat.ncols)
     p = mat.p
-    w = mat.to_dense(np.int64 if p < 1 << 31 else object)
+    w = mat.dense().astype(np.int64 if p < 1 << 31 else object)  # a copy
     r, c = w.shape
     # when accumulated updates cannot overflow int64 (never at p >= 2^31),
     # defer all mods and reduce only the scanned column and the pivot row
@@ -637,4 +599,4 @@ def load_matrix(path) -> FieldMatrix:
     order = np.argsort(ij[:, 0], kind="stable")  # each row's entries in file order
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(np.bincount(ij[:, 0], minlength=nrows), out=indptr[1:])
-    return FieldMatrix(p, ncols, CsrRows(indptr, ij[order, 1], vals[order]))
+    return FieldMatrix(p, ncols, CsrRows(indptr, ij[order, 1], vals[order], ncols))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .exactla import (
     ENGINE_BYTES_LIMIT,
-    DenseRows,
+    ArrayRows,
     FieldMatrix,
     RowArrays,
     SizeGuardExceeded,
@@ -98,42 +98,7 @@ def ci_hilbert_coefficients(n: int, d: int) -> list[int]:
     return out
 
 
-class _IdealRows(RowArrays):
-    """The rows m * dF/dx_i of a degree-p ideal matrix in the degree-p
-    monomial basis, m running over the monomials of degree mult_deg and i
-    over the partials.  Row (m, i) holds the coefficients of dF/dx_i at the
-    columns of m times its monomials, so only the partials' terms are
-    stored: with additive monomial keys, one broadcast add and one lookup
-    give the columns of a whole run of multipliers.  Rows are built on each
-    request and are never all in memory."""
-
-    def __init__(self, n: int, p: int, mult_deg: int, partials):
-        self._keys = monomial_keys(n, p)
-        self._mult = (self._keys.of(enumerate_monomials(n, mult_deg)) if mult_deg >= 0
-                      else np.zeros(0, dtype=np.int64))
-        self._nparts = len(partials)
-        self._term_keys = self._keys.of([m for f in partials for m in f.terms])
-        self._term_vals = np.array([c for f in partials for c in f.terms.values()],
-                                   dtype=np.int64)
-        # offset of each partial's terms in the two arrays above
-        self._starts = np.cumsum([0] + [len(f.terms) for f in partials])
-
-    def __len__(self) -> int:
-        return self._mult.size * self._nparts
-
-    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k, t = self._nparts, self._term_keys.size
-        a, b = lo // k, -(-hi // k)  # the multipliers rows lo..hi-1 come from
-        cols = self._keys.columns((self._mult[a:b, None] + self._term_keys).ravel())
-        vals = np.tile(self._term_vals, b - a)
-        indptr = np.append((np.arange(b - a)[:, None] * t + self._starts[:-1]).ravel(),
-                           (b - a) * t)
-        ip = indptr[lo - a * k:hi - a * k + 1]
-        s, e = int(ip[0]), int(ip[-1])
-        return ip - s, cols[s:e], vals[s:e]
-
-
-class _RelationRows(DenseRows):
+class _RelationRows(RowArrays):
     """The rows x_k (x) [m] - x_j (x) [m'] of a relation matrix, one per
     pair of positions a = k * M + m, b = j * M + m' (M the number of
     degree-q monomials).  Its columns are the distinct products of a
@@ -159,7 +124,7 @@ class _RelationRows(DenseRows):
     def __len__(self) -> int:
         return self._a.size
 
-    def dense(self, lo: int, hi: int, ncols: int) -> np.ndarray:
+    def dense(self, lo: int, hi: int) -> np.ndarray:
         m, a, b = self._m, self._a[lo:hi], self._b[lo:hi]
         if hi > self._formed:
             end = min(self._a.size, max(hi, 2 * self._formed))
@@ -241,15 +206,17 @@ class JacobianRing:
                 f"{IDEAL_MATRIX_COLUMN_LIMIT} limit")
         return cols
 
-    def ideal_matrix(self, p: int) -> FieldMatrix:
-        """Rows span the degree-p piece of the partials' ideal; columns are
-        the degree-p monomials; the rank is at most C(n+p, n) - CI_p.  The
-        rows are regenerated on every pass over them (they are cheap, the
-        normal forms are what gets kept), so they are never all in memory at
-        once."""
-        cols = self._check_columns(p)
-        rows = _IdealRows(self.n, p, p - (self.degree - 1), self.partials)
-        return FieldMatrix(self.field.p, cols, rows, rank_bound=cols - self._ci_dim(p))
+    def _partials_matrix(self) -> FieldMatrix:
+        """The degree-(d-1) ideal matrix, the only one a ring eliminates: a
+        row per partial, a column per degree-(d-1) monomial in the order of
+        enumerate_monomials, which fixes bases and witnesses; its rank is
+        at most C(n+d-1, n) - CI_{d-1}."""
+        p = self.degree - 1
+        keys, cols = monomial_keys(self.n, p), monomial_count(self.n, p)
+        rows = np.zeros((self.n + 1, cols), dtype=np.int64)
+        for i, f in enumerate(self.partials):
+            rows[i, keys.columns(keys.of(list(f.terms)))] = list(f.terms.values())
+        return FieldMatrix(self.field.p, cols, ArrayRows(rows), rank_bound=cols - self._ci_dim(p))
 
     def graded_dim(self, p: int) -> int:
         """dim R_p, from the one elimination of degree p in this ring (see
@@ -293,12 +260,12 @@ class JacobianRing:
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 for
-        p >= d, otherwise from the degree-p ideal matrix.  Either keeps the
-        columns of the basis monomials, the stage and the normal forms: an
-        ideal step those of every degree-p monomial, a relation step those
-        of its products, from which `normal_forms` forms the rest on
-        request.  Below d-1 the ideal matrix has no rows, so nothing is
-        eliminated: the basis is every monomial, and the normal forms are
+        p >= d, and at d-1 from the ideal matrix of the n+1 partials.
+        Either keeps the columns of the basis monomials, the stage and the
+        normal forms: an ideal step those of every degree-p monomial, a
+        relation step those of its products, from which `normal_forms`
+        forms the rest on request.  Below d-1 the ideal is empty, so nothing
+        is eliminated: the basis is every monomial, and the normal forms are
         the identity, kept as none.  An ideal step's normal forms over
         ENGINE_BYTES_LIMIT are refused, kept or not."""
         cols = self._check_columns(p)
@@ -315,7 +282,7 @@ class JacobianRing:
             nf, basis, rank = None, np.arange(cols, dtype=np.int64), 0
             shape, read = [0, cols], 0
         else:
-            mat = self.ideal_matrix(p)
+            mat = self._partials_matrix()
             e = rref(mat)
             _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
             nf = _NormalForms(e.normal_forms(), np.arange(e.ncols), e.ncols)

@@ -1,16 +1,19 @@
 """Helpers only the tests call: matrices from dict rows and their product
 with a vector, a writer for the matrix dump format that `rank-oracle`
-reads, the injectivity-descent property behind C7, and the relation matrix
-with one column per pair (variable, basis monomial)."""
+reads, the injectivity-descent property behind C7, the relation matrix
+with one column per pair (variable, basis monomial), and the ideal matrix
+of any degree, the reference the chain's dims, bases and normal forms are
+checked against."""
 
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from varcert.exactla import CsrRows, FieldMatrix
+from varcert.exactla import _ROWS_PER_READ, CsrRows, FieldMatrix, RowArrays
 from varcert.jacobian import JacobianRing
 from varcert.lefschetz import mult_map
-from varcert.polyring import HomogeneousForm, Monomial, enumerate_monomials
+from varcert.polyring import (HomogeneousForm, Monomial, enumerate_monomials, monomial_count,
+                              monomial_keys)
 
 
 def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
@@ -28,7 +31,7 @@ def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix
         indptr.append(len(cols))
     return FieldMatrix(p, ncols, CsrRows(np.array(indptr, dtype=np.int64),
                                          np.array(cols, dtype=np.intp),
-                                         np.array(vals, dtype=np.int64)))
+                                         np.array(vals, dtype=np.int64), ncols))
 
 
 def mul_vector(mat: FieldMatrix, v: Sequence[int]) -> list[int]:
@@ -94,3 +97,63 @@ def pair_relation_matrix(ring: JacobianRing, q: int) -> FieldMatrix:
         out[r, k * f:(k + 1) * f] = nf[a]
         out[r, j * f:(j + 1) * f] = -nf[b] % p
     return FieldMatrix.from_array(p, out)
+
+
+class IdealRows(RowArrays):
+    """The rows m * dF/dx_i of a degree-p ideal matrix in the degree-p
+    monomial basis, m running over the monomials of degree mult_deg and i
+    over the partials.  Row (m, i) holds the coefficients of dF/dx_i at the
+    columns of m times its monomials, so only the partials' terms are
+    stored: with additive monomial keys, one broadcast add and one lookup
+    give the columns of a whole run of multipliers.  Rows are built on each
+    request as CSR arrays, scattered when read dense, and are never all in
+    memory.  Iterating reads the CSR arrays, not dense blocks: the largest
+    matrices the tests walk row by row are 115830 x 43758."""
+
+    def __init__(self, n: int, p: int, mult_deg: int, partials):
+        self._keys = monomial_keys(n, p)
+        self.ncols = monomial_count(n, p)
+        self._mult = (self._keys.of(enumerate_monomials(n, mult_deg)) if mult_deg >= 0
+                      else np.zeros(0, dtype=np.int64))
+        self._nparts = len(partials)
+        self._term_keys = self._keys.of([m for f in partials for m in f.terms])
+        self._term_vals = np.array([c for f in partials for c in f.terms.values()],
+                                   dtype=np.int64)
+        # offset of each partial's terms in the two arrays above
+        self._starts = np.cumsum([0] + [len(f.terms) for f in partials])
+
+    def __len__(self) -> int:
+        return self._mult.size * self._nparts
+
+    def csr(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows lo..hi-1 as (indptr starting at 0, intp columns, int64
+        values in [0, p))."""
+        k, t = self._nparts, self._term_keys.size
+        a, b = lo // k, -(-hi // k)  # the multipliers rows lo..hi-1 come from
+        cols = self._keys.columns((self._mult[a:b, None] + self._term_keys).ravel())
+        vals = np.tile(self._term_vals, b - a)
+        indptr = np.append((np.arange(b - a)[:, None] * t + self._starts[:-1]).ravel(),
+                           (b - a) * t)
+        ip = indptr[lo - a * k:hi - a * k + 1]
+        s, e = int(ip[0]), int(ip[-1])
+        return ip - s, cols[s:e], vals[s:e]
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        return CsrRows(*self.csr(lo, hi), self.ncols).dense(0, hi - lo)
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ROWS_PER_READ):
+            indptr, cols, vals = self.csr(lo, min(lo + _ROWS_PER_READ, len(self)))
+            ip = indptr.tolist()
+            for s, e in zip(ip, ip[1:]):
+                yield dict(zip(cols[s:e].tolist(), vals[s:e].tolist()))
+
+
+def ideal_matrix(ring: JacobianRing, p: int) -> FieldMatrix:
+    """Rows span the degree-p piece of the partials' ideal; columns are
+    the degree-p monomials; the rank is at most C(n+p, n) - CI_p.  The
+    rows are regenerated on every pass over them, so they are never all in
+    memory at once."""
+    cols = ring._check_columns(p)
+    rows = IdealRows(ring.n, p, p - (ring.degree - 1), ring.partials)
+    return FieldMatrix(ring.field.p, cols, rows, rank_bound=cols - ring._ci_dim(p))

@@ -12,7 +12,7 @@ import random
 import time
 
 from conftest import CORPUS_SHAPES, PRIME_A, PRIME_B
-from helpers import from_rows, injectivity_descends
+from helpers import from_rows, ideal_matrix, injectivity_descends
 
 from varcert.cli import main as cli_main
 from varcert.exactla import dense_rank_oracle, rref
@@ -121,7 +121,7 @@ def test_c5_echelon_rank_agrees_with_dense_oracle(corpus_flat):
         ring = entry.ring(PRIME_A)
         ring.hilbert_function()
         for degree, dim in sorted(ring.known_dims().items()):
-            mat = ring.ideal_matrix(degree)
+            mat = ideal_matrix(ring, degree)
             if mat.nrows * mat.ncols > 10 ** 7 or mat.nrows == 0:
                 continue
             if dense_rank_oracle(mat) != mat.ncols - dim:

@@ -125,6 +125,19 @@ def test_fermat_bounds_exit_1(capsys):
     assert code == 1 and "--fermat" in err
 
 
+@pytest.mark.parametrize("command", [("hilbert",), ("wlp",), ("maxvar", "hypersurface")],
+                         ids=["hilbert", "wlp", "maxvar"])
+def test_form_file_with_fermat_exit_1(capsys, tmp_path, command):
+    # the two form sources exclude each other: neither may be dropped
+    form = tmp_path / "quartic.txt"
+    form.write_text("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *command, str(form), "--fermat", "2", "3",
+                             "--prime", "101", "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == "error: give either a form file or --fermat N D, not both\n"
+
+
 def test_wlp_text_certified(capsys):
     code, out, _ = run(capsys, "wlp", "--fermat", "4", "3", "--prime", P)
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     degrevlex_descending,
+    ideal_matrix,
     pair_relation_matrix,
     product_monomials,
     times_variable,
@@ -124,10 +125,10 @@ def test_quotient_basis_sizes_and_membership():
 def test_ideal_matrix_shape():
     ring = fermat_ring(3, 5, F)
     for p in (4, 6, 9):
-        mat = ring.ideal_matrix(p)
+        mat = ideal_matrix(ring, p)
         assert mat.ncols == monomial_count(3, p)
         assert mat.nrows == 4 * monomial_count(3, p - 4)
-    assert ring.ideal_matrix(3).nrows == 0
+    assert ideal_matrix(ring, 3).nrows == 0
     assert ring.graded_dim(3) == monomial_count(3, 3)
 
 
@@ -157,10 +158,10 @@ def test_vectorized_ideal_rows_match_dict_construction(n, d, text):
         form = parse_form(text, n, F)
     ring = JacobianRing(form)
     for p in range(ring.socle + 2):  # p < d-1 has no rows
-        mat = ring.ideal_matrix(p)
+        mat = ideal_matrix(ring, p)
         old = old_ideal_rows(ring, p)
         assert mat.nrows == len(old)
-        indptr, cols, vals = mat.csr()
+        indptr, cols, vals = mat.rows.csr(0, mat.nrows)
         got = [dict(zip(cols[s:e].tolist(), vals[s:e].tolist()))
                for s, e in zip(indptr.tolist(), indptr[1:].tolist())]
         assert got == old
@@ -168,7 +169,7 @@ def test_vectorized_ideal_rows_match_dict_construction(n, d, text):
         # any row range, including ones that split a multiplier's rows
         lo, hi = len(old) // 3 + 1, 2 * len(old) // 3 + 2
         if hi <= len(old):
-            ip, c, v = mat.csr(lo, hi)
+            ip, c, v = mat.rows.csr(lo, hi)
             assert ip[0] == 0 and ip.size == hi - lo + 1
             assert c.tolist() == [j for r in old[lo:hi] for j in r]
             assert v.tolist() == [x for r in old[lo:hi] for x in r.values()]
@@ -177,7 +178,7 @@ def test_vectorized_ideal_rows_match_dict_construction(n, d, text):
 def test_ideal_matrix_column_guard():
     ring = fermat_ring(8, 3, PrimeField(1048573))
     with pytest.raises(SizeGuardExceeded):
-        ring.ideal_matrix(20)
+        ideal_matrix(ring, 20)
 
 
 def test_characteristic_gate():
@@ -222,22 +223,22 @@ def test_each_degree_is_eliminated_once(monkeypatch):
     calls = []
     real = jacobian.rref
     ideal, relation = [], []
-    real_ideal, real_relation = JacobianRing.ideal_matrix, JacobianRing.relation_matrix
+    real_ideal, real_relation = JacobianRing._partials_matrix, JacobianRing.relation_matrix
 
     def counting(mat):
         calls.append(mat.ncols)
         return real(mat)
 
-    def ideal_recording(self, p):
-        ideal.append(p)
-        return real_ideal(self, p)
+    def ideal_recording(self):
+        ideal.append(self.degree - 1)
+        return real_ideal(self)
 
     def relation_recording(self, q):
         relation.append(q)
         return real_relation(self, q)
 
     monkeypatch.setattr(jacobian, "rref", counting)
-    monkeypatch.setattr(JacobianRing, "ideal_matrix", ideal_recording)
+    monkeypatch.setattr(JacobianRing, "_partials_matrix", ideal_recording)
     monkeypatch.setattr(JacobianRing, "relation_matrix", relation_recording)
     ring = fermat_ring(3, 4, F)
     ring.hilbert_function()
@@ -277,6 +278,25 @@ def unbounded(mat):
     return FieldMatrix(mat.p, mat.ncols, mat.rows)
 
 
+@pytest.mark.parametrize("prime", [1048573, (1 << 62) - 57])
+@pytest.mark.parametrize("n,d,text", [
+    (3, 4, None), (4, 3, None), (2, 6, None),
+    (3, 4, "x1^4 + x2^4 + x3^4"),  # dF/dx0 = 0: the first row is empty
+], ids=["n3d4", "n4d3", "n2d6", "zero-partial"])
+def test_degree_d_minus_1_step_eliminates_the_ideal_matrix(n, d, text, prime):
+    # the one ideal matrix production builds, the n+1 partials, is the
+    # reference ideal matrix of degree d-1: the same rows in the same
+    # columns under the same rank bound, and the step records its shape
+    ring = route_ring(n, d, text, prime)
+    got, ref = ring._partials_matrix(), ideal_matrix(ring, d - 1)
+    assert got.nrows == ref.nrows == n + 1 and got.ncols == ref.ncols
+    assert got.rank_bound == ref.rank_bound
+    assert np.array_equal(got.dense(), ref.dense())
+    assert (text is None) == got.dense().any(axis=1).all()
+    ring.graded_dim(d - 1)
+    assert [(st["degree"], st["shape"]) for st in ring.stages()] == [(d - 1, [n + 1, ref.ncols])]
+
+
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
 @pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, smooth, prime):
@@ -289,13 +309,13 @@ def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, sm
     # the unstopped rank
     ring = route_ring(n, d, text, prime)
     built = []
-    ideal_matrix = ring.ideal_matrix
+    partials_matrix = ring._partials_matrix
 
-    def recording(p):
-        built.append(p)
-        return ideal_matrix(p)
+    def recording():
+        built.append(ring.degree - 1)
+        return partials_matrix()
 
-    ring.ideal_matrix = recording
+    ring._partials_matrix = recording
     top = ring.socle + 1
     ring.graded_dim(top)
     ci = ci_hilbert_coefficients(n, d) + [0]
@@ -303,11 +323,11 @@ def test_socle_successor_echelon_matches_ideal_matrix_rref(label, n, d, text, sm
         nf = ring.normal_forms(q)
         column = {m: j for j, m in enumerate(enumerate_monomials(n, q))}
         basis = [column[m] for m in ring.quotient_basis(q)]
-        mat = ideal_matrix(q)
+        mat = ideal_matrix(ring, q)
         ref = rref(unbounded(mat))
         assert nf.shape == (ref.ncols, ref.ncols - ref.rank), q
         assert np.array_equal(nf[basis], np.eye(len(basis), dtype=np.int64)), q
-        assert not matmul_modp(mat.to_dense(), nf, prime).any(), q
+        assert not matmul_modp(mat.dense(), nf, prime).any(), q
         if ring.stages()[q]["route"] == "ideal":
             assert tuple(basis) == ref.free_columns(), q
         assert mat.rank_bound == monomial_count(n, q) - ci[q]
@@ -361,13 +381,13 @@ def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smo
         products = [mons[j] for j in rel.rows.products]
         assert products == degrevlex_descending(product_monomials(n, q, basis)), q
         column = {u: c for c, u in enumerate(products)}
-        dense = pairs.to_dense()
+        dense = pairs.dense()
         merged = np.zeros((pairs.nrows, len(products)), dtype=np.int64)
         for k in range(n + 1):
             for i, b in enumerate(basis):
                 c = column[times_variable(b, k)]
                 merged[:, c] = (merged[:, c] + dense[:, k * f + i]) % prime
-        assert np.array_equal(rel.to_dense(), merged), q
+        assert np.array_equal(rel.dense(), merged), q
         assert rref(pairs).rank == rref(unbounded(rel)).rank + (n + 1) * f - len(products), q
 
 
@@ -382,7 +402,7 @@ def test_relation_degrees_keep_the_degrevlex_normal_set(label, n, d, text, smoot
         mons = enumerate_monomials(n, q)
         column = {m: j for j, m in enumerate(mons)}
         order = degrevlex_descending(mons)
-        dense = ring.ideal_matrix(q).to_dense()[:, [column[m] for m in order]]
+        dense = ideal_matrix(ring, q).dense()[:, [column[m] for m in order]]
         ref = rref(FieldMatrix.from_array(prime, dense))
         standard = {order[j] for j in ref.free_columns()}
         assert set(ring.quotient_basis(q)) == standard, q
@@ -390,13 +410,13 @@ def test_relation_degrees_keep_the_degrevlex_normal_set(label, n, d, text, smoot
 
 def ideal_matrices_built_by_certificate(monkeypatch, n, d, text, smooth):
     built = []
-    real = JacobianRing.ideal_matrix
+    real = JacobianRing._partials_matrix
 
-    def recording(self, p):
-        built.append(p)
-        return real(self, p)
+    def recording(self):
+        built.append(self.degree - 1)
+        return real(self)
 
-    monkeypatch.setattr(JacobianRing, "ideal_matrix", recording)
+    monkeypatch.setattr(JacobianRing, "_partials_matrix", recording)
     ring = route_ring(n, d, text, F.p)
     assert ring.certify_smooth() == smooth
     # every degree above the one ideal matrix comes from relations

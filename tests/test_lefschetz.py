@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import injectivity_descends
+from helpers import ideal_matrix, injectivity_descends
 from varcert.exactla import FieldMatrix, kernel_witness, rref
 from varcert.jacobian import JacobianRing, fermat_ring
 from varcert.lefschetz import (
@@ -319,7 +319,7 @@ def canonical_map(ring, h, p):
     """The canonical echelon of the degree-p ideal matrix and x h into
     degree p written in its free columns, the standard monomials: the
     product of each source basis monomial, reduced by that echelon."""
-    ref = rref(ring.ideal_matrix(p))
+    ref = rref(ideal_matrix(ring, p))
     source = ring.quotient_basis(p - h.degree)
     keys = monomial_keys(ring.n, p)
     cols = keys.columns(keys.of(source)[:, None] + keys.of(list(h.terms)))

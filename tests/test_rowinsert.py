@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import from_rows
+from helpers import from_rows, ideal_matrix
 from rref_reference import rref_sparse
 from varcert import exactla
 from varcert.exactla import (
@@ -301,7 +301,7 @@ def test_boundary_primes_match_sparse_reference_and_oracle(p):
 def test_macaulay_matrices_match_sparse_reference():
     ring = seeded_ring(3, 4, P62, 34)
     for degree in (ring.socle, ring.socle + 1):
-        mat = ring.ideal_matrix(degree)
+        mat = ideal_matrix(ring, degree)
         e = assert_same_echelon(mat)
         assert dense_rank_oracle(mat) == e.rank
         assert mat.ncols - e.rank == (1 if degree == ring.socle else 0)
@@ -311,12 +311,12 @@ class RecordingRows(CsrRows):
     """CsrRows that log every (lo, hi) rref asks for."""
 
     def __init__(self, full):
-        super().__init__(full.indptr, full.cols, full.vals)
+        super().__init__(full.indptr, full.cols, full.vals, full.ncols)
         self.asked = []
 
-    def csr(self, lo, hi):
+    def dense(self, lo, hi):
         self.asked.append((lo, hi))
-        return super().csr(lo, hi)
+        return super().dense(lo, hi)
 
 
 def test_rows_after_full_column_rank_are_not_read():
@@ -385,50 +385,38 @@ def test_relation_matrix_reads_one_block_of_rows():
     assert recorded.asked == [(0, _ROWS_PER_READ)]
 
 
-def scattered(rows, lo, hi, ncols):
-    """Rows lo..hi-1 of a RowArrays as a dense array, from csr() entry by
-    entry."""
-    indptr, cols, vals = rows.csr(lo, hi)
-    out = np.zeros((hi - lo, ncols), dtype=np.int64)
-    for i in range(hi - lo):
-        for j, v in zip(cols[indptr[i]:indptr[i + 1]].tolist(),
-                        vals[indptr[i]:indptr[i + 1]].tolist()):
-            out[i, j] = v
-    return out
-
-
-def test_dense_reads_match_csr_reads():
-    # stored CSR rows with empty ones, ideal rows, relation rows (a row
-    # joining two basis monomials is empty) and the rows of an array, over
-    # ranges with empty rows and a final partial block; the array is
-    # column-major, as mult_map's transposed product is
+def test_dict_rows_are_the_nonzeros_of_the_dense_rows():
+    # iterating rows yields, for each row, its nonzero entries as a dict:
+    # stored CSR rows with empty ones, relation rows (a row joining two
+    # basis monomials is empty) and the rows of an array, column-major as
+    # mult_map's transposed product is, each with a final partial block
     rng = random.Random(45)
     p, c = 1048573, 30
     dict_rows = [{} if rng.random() < 0.3 else
                  {j: rng.randrange(1, p) for j in range(c) if rng.random() < 0.2}
                  for _ in range(75)]
     ring = seeded_ring(3, 4, p, 45)
-    mats = [from_rows(p, c, dict_rows), ring.ideal_matrix(5), ring.relation_matrix(4),
-            FieldMatrix.from_array(p, np.asfortranarray(from_rows(p, c, dict_rows).to_dense()))]
+    csr = from_rows(p, c, dict_rows)
+    full = csr.dense()
+    mats = [csr, ring.relation_matrix(4), FieldMatrix.from_array(p, np.asfortranarray(full))]
     empty = 0
     for mat in mats:
-        n = mat.nrows
-        assert n > _ROWS_PER_READ + 5 and n % _ROWS_PER_READ
-        for lo, hi in [(0, _ROWS_PER_READ), (5, 5 + _ROWS_PER_READ),
-                       (n // _ROWS_PER_READ * _ROWS_PER_READ, n), (n - 1, n), (3, 3), (0, n)]:
-            got = mat.rows.dense(lo, hi, mat.ncols)
-            assert got.dtype == np.int64 and got.shape == (hi - lo, mat.ncols)
-            assert np.array_equal(got, scattered(mat.rows, lo, hi, mat.ncols))
-            empty += int((~got.any(axis=1)).sum())
+        assert mat.nrows > _ROWS_PER_READ + 5 and mat.nrows % _ROWS_PER_READ
+        dense = mat.dense()
+        assert dense.dtype == np.int64 and dense.shape == (mat.nrows, mat.ncols)
+        assert list(mat.rows) == [{j: int(row[j]) for j in np.flatnonzero(row).tolist()}
+                                  for row in dense]
+        empty += int((~dense.any(axis=1)).sum())
+    assert list(csr.rows) == dict_rows
     assert empty
-    # FieldMatrix.dense counts the leading rows it hands out, as csr does
+    # FieldMatrix.dense counts the leading rows it hands out
     mat = from_rows(p, c, dict_rows)
     assert mat.rows_read == 0
-    assert np.array_equal(mat.dense(0, 7), scattered(mat.rows, 0, 7, c))
+    assert np.array_equal(mat.dense(0, 7), full[:7])
     assert mat.rows_read == 7
-    mat.dense(2, 4)
+    assert np.array_equal(mat.dense(2, 4), full[2:4]) and mat.dense(3, 3).shape == (0, c)
     assert mat.rows_read == 7
-    assert np.array_equal(mat.dense(), mat.to_dense())
+    assert np.array_equal(mat.dense(), full)
     assert mat.rows_read == mat.nrows
 
 
@@ -495,7 +483,7 @@ def test_smoothness_echelon_memory_budget():
     ring = seeded_ring(4, 4, P62, 44)
     tracemalloc.start()
     try:
-        e = rref(ring.ideal_matrix(ring.socle + 1))
+        e = rref(ideal_matrix(ring, ring.socle + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
