@@ -6,7 +6,10 @@ rows built on request, or the CSR arrays of a matrix dump.  matmul_modp()
 is the one exact product it and its callers use: below 2^21, with an inner
 dimension short enough, one float64 GEMM; otherwise float64 GEMMs of
 21-bit limbs, recombined in uint64 words that a rounded float64 estimate
-of their quotient by p reduces (_Zp64).  The reduced row echelon form is
+of their quotient by p reduces (_Zp64).  Within a batch, a pivot clears
+its column by one of two rules (_gauss_jordan): below 2^32 uint64 updates,
+reduced once every k of them; above it updates reduced from a float
+quotient, as in the products.  The reduced row echelon form is
 unique, so pivot columns and quotient coordinates do not depend on row
 order; it is kept as one rank x free-columns int64 block.
 dense_rank_oracle() is a deliberately separate textbook elimination used
@@ -247,8 +250,7 @@ class _Zp64:
     and e within 0.01 of X/p, v = X - rint(e) p, computed mod 2^64, is an
     integer in (-0.51p, 0.51p), and min(v, v + p) taken mod 2^64 is X mod
     p.  1.51p < 2^64 is what needs p < 2^63.  A float64 estimate of a sum of
-    a few rounded products is that close while |X/p| < 2^44.  Below 2^32 a
-    product of residues fits in 64 bits and mulmod reduces it directly."""
+    a few rounded products is that close while |X/p| < 2^44."""
 
     def __init__(self, p: int):
         if p >= 1 << 63:
@@ -275,17 +277,6 @@ class _Zp64:
             x += u << np.uint64(_LIMB * i) if i else u
             e += t * (2.0 ** (_LIMB * i) / p)
         return self.reduce(x, e)
-
-    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b mod p for arrays of residues a and b.  Above 2^32 it is
-        A' b_h + a b_l, b = b_h 2^31 + b_l, after A' = a 2^31 mod p: two
-        float-quotient steps with quotients below 2^33."""
-        if self.p < 1 << 32:
-            return a * b % self.p
-        p = int(self.p)
-        ah = self.reduce(a << _SPLIT[0], a * (2.0 ** 31 / p))
-        bh, bl = b >> _SPLIT[0], b & _MASK[1]
-        return self.reduce(ah * bh + a * bl, ah * (bh / p) + a * (bl / p))
 
     def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = x + y
@@ -366,80 +357,84 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.
     budget pivots; returns the pivot column of each pivot row and those
     rows.  Once budget pivots are found the rows after the last are not
     scanned: with budget the rank left to a proven bound, they lie in the
-    span, which the caller's residual check verifies.  A pivot row clears
-    its column unnormalized, with factors scaled by its pivot's inverse;
-    later pivots leave that entry alone, so rows are normalized at the end.
-    Each update is applied to the whole slice y[:, j:] in place, so y is
-    overwritten; with y in column-major order that slice is one slab.
+    span, which the caller's residual check verifies.  Each pivot row is
+    normalized when found, to r with 1 at its pivot column j, and clears
+    that column from the other rows with the column itself, reduced, as the
+    factors f: y - f r.  r is 0 at the earlier pivots' columns, so those
+    stay cleared and every pivot row keeps its 1.  Each update is applied
+    to the whole slice y[:, j:] in place, so y is overwritten; with y in
+    column-major order that slice is one slab.
 
-    A row takes at most one update per pivot, each of magnitude at most
-    (p-1)^2, so with nb rows and nb (p-1)^2 + p < 2^63 (p < 2^29 for a
-    32-row batch) the updates accumulate unreduced in int64 and are reduced
-    once at the end (delayed reduction, Dumas-Giorgi-Pernet 2008): only the
-    pivot row and the pivot column are reduced when read.  Above that bound
-    every update is reduced at once and y stays in [0, p): a*b mod p below
-    2^32, a float quotient above.  Below 2^32 the factors g = f inv mod p
-    are one numpy vector (f inv < 2^64), above it Python ints.  There, with
-    r = r_h 2^31 + r_l the pivot row and G' = g 2^31 mod p for the factors
-    g, y - g r is congruent to X = y - G' r_h - g r_l, known mod 2^64 from
-    one uint64 product, and y/p - [r_h r_l] @ [G'/p; g/p], a float64 GEMM
-    below 2^33, is within 2^-16 of X/p, so X - rint(that) p is in (-0.51p,
-    0.51p) for any nb."""
-    p, (nb, c) = int(zp.p), y.shape
-    deferred = nb * (p - 1) ** 2 + p < 1 << 63
-    wide = p >= 1 << 32
-    if deferred:
-        y = y.view(np.int64)
+    The update rule follows from one number, k = (2^64 - p) // (p (p-1)),
+    the updates of at most p (p-1) that an entry below p takes in uint64.
+    With k >= 1 (p < 2^32) an update adds (p - f) r, and y is reduced after
+    every k updates, so no entry passes p - 1 + k p (p-1) < 2^64 (delayed
+    reduction, Dumas-Giorgi-Pernet 2008): the whole batch, or with k = 1
+    the slab just updated, and each row when it is read.  With k = 0 y
+    stays in [0, p) and each update is reduced from a float quotient (van
+    der Hoeven, Lecerf and Quintin 2016).  There r comes as the pair
+    (R', r) = (u 2^31, u) v^-1 mod p, for the raw row u with pivot entry v,
+    from one uint64 product of u's 31-bit split, whose quotients are below
+    2^33, and one _Zp64.reduce.  With f = f_h 2^31 + f_l, y - f r is
+    congruent to X = y - R' f_h - r f_l, known mod 2^64 from one uint64
+    product, and y/p - [R' r] @ [f_h/p; f_l/p], a float64 GEMM below 2^33,
+    is within 2^-16 of X/p, so X - rint(that) p is in (-0.51p, 0.51p) for
+    any nb."""
+    P, p, (nb, c) = zp.p, int(zp.p), y.shape
+    k = ((1 << 64) - p) // (p * (p - 1))
     yt = y.T  # with y column-major, the columns an update touches are one slab
     step = max(1, _CHUNK // max(1, nb))
-    lead, rows, invs = [], [], []
+    lead, rows, pending = [], [], 0  # pending: updates since y was reduced
     for i in range(nb):
-        if deferred:
-            y[i] %= p
+        if pending:
+            y[i] %= P
         nz = y[i].nonzero()[0]  # np.flatnonzero would copy the strided row
         if not nz.size:
             continue
         j = int(nz[0])
         inv = pow(int(y[i, j]), -1, p)
-        if wide:
-            f = y[:, j].tolist()
-            f[i] = 0
-            hit = any(f)
-        else:  # the factors in numpy: f inv < 2^64, and < 2^63 when deferred
-            g = y[:, j] % p if deferred else y[:, j].copy()
-            g *= inv
-            g %= p
-            g[i] = 0
-            hit = np.count_nonzero(g)
-        if hit:
-            if wide:
-                g = [v * inv % p for v in f]
-                gs = np.array([[(v << 31) % p for v in g], g], dtype=np.uint64)  # G', g
-                gfp = gs / p
-            for a in range(j, c, step):
-                part, row = yt[a:a + step], yt[a:a + step, i, None]
-                if deferred:
-                    part -= row * g
-                elif wide:
-                    rs = (row >> _SPLIT) & _MASK
+        f = y[:, j] % P
+        f[i] = 0
+        hit = np.count_nonzero(f)
+        row = yt[j:, i]
+        if k:
+            row *= inv
+            row %= P
+            if hit:
+                g = np.subtract(P, f, out=f)  # p - f, in place
+                g[i] = 0
+                for a in range(j, c, step):
+                    part = yt[a:a + step]
+                    part += yt[a:a + step, i, None] * g
+                    if k == 1:  # only this slab moved: reduce it while in cache
+                        part %= P
+                if k > 1:
+                    pending += 1
+                    if pending == k:
+                        y %= P
+                        pending = 0
+        else:
+            m = np.array([[(inv << 62) % p, (inv << 31) % p], [(inv << 31) % p, inv]],
+                         dtype=np.uint64)
+            rs = (row[:, None] >> _SPLIT) & _MASK
+            pair = zp.reduce(rs @ m, rs @ (m / p))  # R', r
+            row[:] = pair[:, 1]
+            if hit:
+                fs = (f >> _SPLIT[:, None]) & _MASK[:, None]  # f_h, f_l
+                fsp = fs / p
+                for a in range(j, c, step):
+                    part, rp = yt[a:a + step], pair[a - j:a - j + step]
                     e = part * (1.0 / p)
-                    e -= rs @ gfp
-                    part -= rs @ gs
+                    e -= rp @ fsp
+                    part -= rp @ fs
                     zp.reduce(part, e)
-                else:
-                    part -= zp.mulmod(row, g)
-                    np.minimum(part, part + zp.p, out=part)
         lead.append(j)
         rows.append(i)
-        invs.append(inv)
         if len(lead) == budget:
             break
-    new = y[rows] % p if deferred else y[rows]
-    new = new.view(np.uint64)
-    at, invs = np.nonzero(new), np.array(invs, dtype=np.uint64)
-    for a in range(0, at[0].size, _CHUNK):
-        ix = at[0][a:a + _CHUNK], at[1][a:a + _CHUNK]
-        new[ix] = zp.mulmod(new[ix], invs[ix[0]])
+    new = y[rows]
+    if pending:
+        new %= P
     return lead, new
 
 

@@ -216,21 +216,6 @@ class HomogeneousForm:
         return HomogeneousForm(self.n, self.degree, self.field,
                                {m: v * c % p for m, v in self.terms.items()})
 
-    def __add__(self, other: HomogeneousForm) -> HomogeneousForm:
-        if self.n != other.n or self.field.p != other.field.p:
-            raise DimensionMismatchError("incompatible forms")
-        if self.degree != other.degree:
-            raise NotHomogeneousError("cannot add forms of different degrees")
-        p = self.field.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return HomogeneousForm(self.n, self.degree, self.field, out)
-
     def __str__(self) -> str:
         return form_to_str(self)
 

@@ -18,7 +18,7 @@ JSON stdout is re-dumped with indent=2, keys in their order, without
 timings_ms, the only subtree that differs between identical runs.  The
 corpus: hilbert, wlp, maxvar hypersurface -e 1/2/3 and maxvar double-cover,
 in JSON and text, on seeded forms, CI's quartic, a singular quartic and a
-cone at six primes from 7 to 2^62-57, and on Fermat forms; rank-oracle
+cone at eight primes from 7 to 2^62-57, and on Fermat forms; rank-oracle
 dumps; usage errors; and size-guard refusals, so exit codes 0-5 all occur.
 The forms are generated here, independent of varcert's own monomial order.
 """
@@ -41,7 +41,7 @@ from varcert import cli
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 P61, P62 = (1 << 61) - 1, (1 << 62) - 57
-PRIMES = (7, 1048573, 536870909, 536870923, 4294967291, P62)
+PRIMES = (7, 1048573, 536870909, 536870923, 759250133, 3037000507, 4294967291, P62)
 SEEDED_SHAPES = ((2, 5), (2, 6), (3, 4), (3, 5), (4, 3), (4, 4))
 FORMS = {
     "quartic.txt": "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3",  # CI's quartic

@@ -1,7 +1,7 @@
 """A slice of the identity corpus: the invocations at one prime, 536870923
-(the first past rref's deferral bound), and those that name none of the
-corpus primes (rank-oracle dumps and usage errors), checked against
-the recorded digests.  `python tests/identity_corpus.py --check` runs the
+(where rref takes 63 uint64 updates between reductions), and those that
+name none of the corpus primes (rank-oracle dumps and usage errors),
+checked against the recorded digests.  `python tests/identity_corpus.py --check` runs the
 whole corpus."""
 
 import identity_corpus

@@ -127,6 +127,14 @@ def test_partials_fermat():
         assert fi.terms == {tuple(3 if j == i else 0 for j in range(4)): 4}
 
 
+def form_sum(f, g):
+    """f + g, term by term, for forms of one degree over one field."""
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return HomogeneousForm.from_terms(f.n, f.degree, terms, f.field)
+
+
 def test_euler_identity_random_and_corrupted():
     rng = random.Random(99)
     for _ in range(15):
@@ -141,11 +149,11 @@ def test_euler_identity_random_and_corrupted():
         parts = list(partial_derivatives(f))
         mono = tuple(d - 1 if j == 0 else 0 for j in range(n + 1))
         delta = HomogeneousForm.from_terms(n, d - 1, {mono: 1}, F)
-        parts[0] = parts[0] + delta  # add x0^(d-1)
+        parts[0] = form_sum(parts[0], delta)  # add x0^(d-1)
         lhs = f.scaled(d)
         rhs = HomogeneousForm(n, d, F, {})
         for i, fi in enumerate(parts):
-            rhs = rhs + multiply(variable(i, n, F), fi)
+            rhs = form_sum(rhs, multiply(variable(i, n, F), fi))
         assert lhs != rhs
 
 

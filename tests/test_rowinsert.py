@@ -31,14 +31,25 @@ from varcert.polyring import HomogeneousForm, PrimeField, enumerate_monomials
 
 P62 = (1 << 62) - 57
 # the primes on either side of 2^21 and 2^42, where residues take one more
-# 21-bit limb in matmul_modp, of 2^23, of 2^29, where a 32-row batch stops
-# deferring its reductions (32 (p-1)^2 + p < 2^63 holds for 536870909 and
-# fails for the next prime), and 2^31 - 1 and the largest prime below 2^32,
-# whose products of residues still fit in 64 bits
+# 21-bit limb in matmul_modp, of 2^23 and of 2^29; on either side of the
+# points where k = (2^64 - p) // (p (p-1)), the uint64 updates _gauss_jordan
+# lets an entry take between reductions, falls below 32 (759250111 has
+# k = 32, so a 32-row batch is reduced at most once, and 759250133 has 31)
+# and below 2 (3037000493 has k = 2, 3037000507 has 1); 2^31 - 1 (k = 4);
+# and the largest prime below 2^32, where p (p-1) nearly fills 64 bits
 DEFER_LAST, DEFER_NEXT = 536870909, 536870923
+K32_LAST, K32_NEXT = 759250111, 759250133
+K2_LAST, K1_FIRST = 3037000493, 3037000507
 WORD_LAST = 4294967291  # the largest prime below 2^32
-BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, DEFER_LAST, DEFER_NEXT, (1 << 31) - 1,
-                   WORD_LAST, 4398046511093, 4398046511119, (1 << 61) - 1, P62]
+BOUNDARY_PRIMES = [2097143, 2097169, 8388593, 8388617, DEFER_LAST, DEFER_NEXT, K32_LAST,
+                   K32_NEXT, (1 << 31) - 1, K2_LAST, K1_FIRST, WORD_LAST, 4398046511093,
+                   4398046511119, (1 << 61) - 1, P62]
+
+
+def updates_per_reduction(p):
+    """k: with entries below p and updates of at most p (p-1), an entry
+    takes k updates in uint64 before it must be reduced."""
+    return ((1 << 64) - p) // (p * (p - 1))
 
 
 def seeded_ring(n, d, prime, seed):
@@ -59,31 +70,16 @@ def assert_same_echelon(mat):
 
 @pytest.mark.parametrize("p", [8388617, (1 << 31) - 1, (1 << 32) + 15, P62, (1 << 63) - 25])
 def test_shoup_mulmod_and_split_sum_match_python_ints(p):
-    # mulmod, add and sub of _Zp64 against Python ints (the name is kept so
-    # that the test's ids stay stable)
+    # add and sub of _Zp64 against Python ints (the name is kept so that the
+    # test's ids stay stable)
     zp = _Zp64(p)
     rng = random.Random(p)
     vals = [0, 1, 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(40)]
     w = np.array(vals, dtype=np.uint64)
-    assert zp.mulmod(w[:, None], w[None, :]).tolist() == [[x * y % p for y in vals]
-                                                          for x in vals]
     assert zp.add(w[:, None], w[None, :]).tolist() == [[(x + y) % p for y in vals]
                                                        for x in vals]
     assert zp.sub(w[:, None], w[None, :]).tolist() == [[(x - y) % p for y in vals]
                                                        for x in vals]
-    # operands whose quotients lie within 1/(2p) of a half: a 2^31 or a b is
-    # (p +- 1)/2 mod p, so above 2^32 the float estimates land on .5 ties
-    a = [x for x in vals[1:] for _ in (1, -1)]
-    b = [(p + s) // 2 * pow(x, -1, p) % p for x in vals[1:] for s in (1, -1)]
-    a += [(p + s) // 2 * pow(1 << 31, -1, p) % p for s in (1, -1)]
-    b += [1, 1]
-    ties = []
-    if p >= 1 << 32:
-        real = zp.reduce
-        zp.reduce = lambda x, e: ties.append(np.count_nonzero(e % 1 == 0.5)) or real(x, e)
-    got = zp.mulmod(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
-    assert got.tolist() == [x * y % p for x, y in zip(a, b)]
-    assert (sum(ties) > len(a) // 2) == (p >= 1 << 32)
 
 
 EXACT_PRIMES = [2097143, 2097169, 8388593, 8388617, (1 << 31) - 1, 4398046511093,
@@ -166,19 +162,45 @@ def python_gauss_jordan(rows, p):
                   for i, j in zip(found, lead)]
 
 
-@pytest.mark.parametrize("p", [DEFER_LAST, DEFER_NEXT])
+def recording_reductions(y):
+    """y viewed as an array that records its largest entry each time it, or
+    a slice of it, is reduced in place; and the list of those entries."""
+    seen = []
+
+    class Recorded(np.ndarray):
+        def __imod__(self, other):
+            seen.append(int(self.max()))
+            return super().__imod__(other)
+
+    return y.view(Recorded), seen
+
+
+@pytest.mark.parametrize("p", [DEFER_LAST, DEFER_NEXT, K32_LAST, K32_NEXT, (1 << 31) - 1,
+                               K2_LAST, K1_FIRST, WORD_LAST])
 def test_gauss_jordan_defers_reduction_below_its_bound(p):
-    # 32-row batches of all p-1 and of uniform entries against Python ints.
-    # Below the bound the updates accumulate unreduced in int64 in the batch
-    # itself, so a uniform batch is left with entries outside [0, p); above
-    # it every update is reduced, and none is
+    # below 2^32 an update adds (p - f) r, at most p (p-1), in uint64, and
+    # the batch is reduced after every k updates.  k + 1 pivot rows
+    # e_t + (p-1) e_T, then e_L + (p-1) e_T, which is 0 at every pivot and so
+    # gains p (p-1) at T from each, then a row in their span that every
+    # pivot has to clear: the entry at T reaches p - 1 + k p (p-1) before
+    # the first reduction, and one more update would wrap it
+    k = updates_per_reduction(p)
+    assert k >= 1 and p - 1 + (k + 1) * p * (p - 1) >= 1 << 64
+    rows = [[int(j == t) for j in range(k + 1)] + [0, p - 1] for t in range(k + 1)]
+    rows.append([0] * (k + 1) + [1, p - 1])
+    rows.append([1] * (k + 1) + [0, (k + 1) * (p - 1) % p])
+    y, seen = recording_reductions(np.array(rows, dtype=np.uint64, order="F"))
+    lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
+    assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
+    assert max(seen) == p - 1 + k * p * (p - 1)
+    # 32-row batches of all p-1 and of uniform entries, column-major as
+    # rref passes them
     rng = random.Random(p)
     uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
     for rows in ([[p - 1] * 48] * 32, uniform):
-        y = np.array(rows, dtype=np.uint64)
+        y = np.array(rows, dtype=np.uint64, order="F")
         lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
         assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
-    assert ((y >= p).any(), 32 * (p - 1) ** 2 + p < 1 << 63) == ((p == DEFER_LAST),) * 2
 
 
 @pytest.mark.parametrize("p", [4294967311, 4398046511119, (1 << 61) - 1, P62, (1 << 63) - 25])
@@ -194,15 +216,31 @@ def test_gauss_jordan_float_quotient_updates_match_python_ints(p):
             lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
             assert (y < p).all()
+    # the first pivot row u, normalized to (u 2^31, u) v^-1 mod p from
+    # float quotients, has four entries that make one of them (p +- 1)/2
+    # mod p: those quotients lie within 1/(2p) of a half, where the float64
+    # estimate may round either way
+    v = rng.randrange(2, p)
+    halves = [(p + s) // 2 for s in (1, -1)]
+    to_high = pow(1 << 31, -1, p)
+    row = [v] + [h * v % p for h in halves] + [h * v * to_high % p for h in halves]
+    rows = [row, [rng.randrange(p) for _ in row], [0] + [rng.randrange(p) for _ in row[1:]]]
+    zp, ties = _Zp64(p), []
+    real = zp.reduce
+    zp.reduce = lambda x, e: ties.append(np.count_nonzero(abs(e % 1 - 0.5) < 1e-6)) or real(x, e)
+    lead, new = exactla._gauss_jordan(zp, np.array(rows, dtype=np.uint64, order="F"), 3)
+    assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
+    assert ties[0] >= 4
 
 
 @pytest.mark.parametrize("p", [(1 << 31) - 1, WORD_LAST])
 def test_gauss_jordan_numpy_factors_match_python_ints(p):
-    # between the deferral bound and 2^32 the factors f inv mod p are formed
-    # in uint64, where f inv nearly fills 64 bits at the largest prime below
-    # 2^32, and every update is a*b mod p, so the batch stays in [0, p); in
-    # row-major and in column-major order, which rref passes
-    assert 32 * (p - 1) ** 2 + p >= 1 << 63 and (p - 1) ** 2 < 1 << 64
+    # below 2^32 the factors are p - f for the reduced pivot column f, and
+    # p (p-1) nearly fills 64 bits at the largest prime below 2^32; the
+    # batch is left with fewer than k updates unreduced, none when k = 1;
+    # in row-major and in column-major order, which rref passes
+    k = updates_per_reduction(p)
+    assert k == (4 if p < WORD_LAST else 1)
     rng = random.Random(p)
     for order in "CFCF":
         uniform = [[rng.randrange(p) for _ in range(48)] for _ in range(32)]
@@ -210,7 +248,7 @@ def test_gauss_jordan_numpy_factors_match_python_ints(p):
             y = np.array(rows, dtype=np.uint64, order=order)
             lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
-            assert (y < p).all()
+            assert (y <= p - 1 + (k - 1) * p * (p - 1)).all()
 
 
 def test_one_limb_product_is_one_gemm_up_to_its_exact_bound(monkeypatch):
