@@ -217,9 +217,9 @@ def test_gauss_jordan_float_quotient_updates_match_python_ints(p):
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
             assert (y < p).all()
     # the first pivot row u, normalized to (u 2^31, u) v^-1 mod p from
-    # float quotients, has four entries that make one of them (p +- 1)/2
-    # mod p: those quotients lie within 1/(2p) of a half, where the float64
-    # estimate may round either way
+    # float quotients, has four entries that make one half of that pair
+    # (p +- 1)/2 mod p: their quotients lie within 1/(2p) of a half, where
+    # the float64 estimate may round either way
     v = rng.randrange(2, p)
     halves = [(p + s) // 2 for s in (1, -1)]
     to_high = pow(1 << 31, -1, p)
