@@ -25,6 +25,7 @@ from .polyring import (
     HomogeneousForm,
     PolyError,
     PrimeField,
+    fermat_form,
     form_to_str,
     parse_form,
 )
@@ -82,9 +83,7 @@ def load_input_form(args, field: PrimeField) -> tuple[HomogeneousForm, dict]:
         n, d = args.fermat
         if not (1 <= n <= 8 and d >= 2):
             raise CliError(f"--fermat needs 1 <= n <= 8 and d >= 2, got {n} {d}")
-        terms = {tuple(d if j == i else 0 for j in range(n + 1)): 1
-                 for i in range(n + 1)}
-        form = HomogeneousForm.from_terms(n, d, terms, field)
+        form = fermat_form(n, d, field)
         source = f"fermat({n},{d})"
     else:
         if args.form_file is None:

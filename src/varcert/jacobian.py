@@ -56,7 +56,7 @@ from .polyring import (
     HomogeneousForm,
     Monomial,
     PrimeField,
-    enumerate_monomials,
+    fermat_form,
     monomial_count,
     monomial_keys,
     partial_derivatives,
@@ -209,7 +209,7 @@ class JacobianRing:
     def _partials_matrix(self) -> FieldMatrix:
         """The degree-(d-1) ideal matrix, the only one a ring eliminates: a
         row per partial, a column per degree-(d-1) monomial in the order of
-        enumerate_monomials, which fixes bases and witnesses; its rank is
+        monomial_keys, which fixes bases and witnesses; its rank is
         at most C(n+d-1, n) - CI_{d-1}."""
         p = self.degree - 1
         keys, cols = monomial_keys(self.n, p), monomial_count(self.n, p)
@@ -324,7 +324,7 @@ class JacobianRing:
         self._check_chain_bytes(q, f)
         order, pair, prods, _ = _product_order(n, q)
         cols = prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel()
-        _, first, ucol = np.unique(_degrevlex_rank(n, q + 1)[cols], return_index=True,
+        _, first, ucol = np.unique(monomial_keys(n, q + 1).degrevlex[cols], return_index=True,
                                    return_inverse=True)
         products = cols[first]
         rows = _RelationRows(functools.partial(self.normal_forms, q), monomial_count(n, q),
@@ -373,12 +373,7 @@ class JacobianRing:
         if p < 0:
             return ()
         self.graded_dim(p)
-        mons = enumerate_monomials(self.n, p)
-        return tuple(mons[j] for j in self._pieces[p][1])
-
-    def known_dims(self) -> dict[int, int]:
-        """The dims of the degrees this ring has eliminated, one per stage."""
-        return {p: basis.size for p, (_, basis) in self._pieces.items()}
+        return tuple(map(tuple, monomial_keys(self.n, p).exponents(self._pieces[p][1]).tolist()))
 
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
@@ -407,19 +402,6 @@ class JacobianRing:
 
 
 @functools.lru_cache(maxsize=None)
-def _degrevlex_rank(n: int, p: int) -> np.ndarray:
-    """The position of each degree-p monomial column in descending degrevlex
-    order (x0 > ... > xn).  On one degree that is the ascending order of the
-    reversed exponents (e_n, ..., e_0), so one mixed-radix key with x_n most
-    significant sorts it.  Kept per (n, p) and read-only."""
-    mons = np.array(enumerate_monomials(n, p), dtype=np.int64).reshape(-1, n + 1)
-    rank = np.empty(len(mons), dtype=np.int64)
-    rank[np.argsort(mons @ (p + 1) ** np.arange(n + 1, dtype=np.int64))] = np.arange(len(mons))
-    rank.setflags(write=False)
-    return rank
-
-
-@functools.lru_cache(maxsize=None)
 def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The products x_k * m of every variable k and degree-q monomial m, as
     positions t = k * C(n+q, n) + m ordered by the column of the product (a
@@ -429,7 +411,7 @@ def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     monomial column (its x_k m with k least).  Kept per (n, q) and
     read-only."""
     keys = monomial_keys(n, q + 1)
-    prods = keys.columns((keys.of(enumerate_monomials(n, q)) + keys.weights[:, None]).ravel())
+    prods = keys.columns((keys.of(monomial_keys(n, q).exponents()) + keys.weights[:, None]).ravel())
     order = np.argsort(prods, kind="stable")
     pair = prods[order[1:]] == prods[order[:-1]]
     heads = order[np.concatenate([[True], ~pair])]
@@ -453,5 +435,4 @@ def _check_step_bytes(p: int, route: str, need: int) -> None:
 
 
 def fermat_ring(n: int, d: int, field: PrimeField) -> JacobianRing:
-    one = {tuple(d if j == i else 0 for j in range(n + 1)): 1 for i in range(n + 1)}
-    return JacobianRing(HomogeneousForm.from_terms(n, d, one, field))
+    return JacobianRing(fermat_form(n, d, field))

@@ -1,16 +1,16 @@
 """Exact homogeneous polynomial arithmetic over a prime field.
 
 Forms are stored sparsely as {exponent tuple: coefficient} with coefficients
-in [1, p); monomials are dense exponent tuples of length n+1 ordered by
-graded lex with x0 > x1 > ... > xn.
+in [1, p).  The degree-p monomials are one table of int64 keys,
+monomial_keys(n, p), in descending graded lex with x0 > x1 > ... > xn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -95,58 +95,71 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-@lru_cache(maxsize=None)
-def enumerate_monomials(n: int, p: int) -> tuple[Monomial, ...]:
-    """All degree-p monomials in x0..xn, descending graded-lex (x0 largest first).
-
-    Length is C(n+p, n); the order is what fixes matrix columns and
-    quotient-basis coordinates everywhere downstream.
-    """
-    if n < 0 or p < 0:
-        raise ValueError("n and p must be non-negative")
-    if n + 1 > MAX_VARIABLES:
-        raise ValueError(f"at most {MAX_VARIABLES} variables supported")
-    return tuple(_gen_monomials(n, p))
-
-
-def _gen_monomials(n: int, p: int) -> Iterator[Monomial]:
-    if n == 0:
-        yield (p,)
-        return
-    for e0 in range(p, -1, -1):
-        for rest in _gen_monomials(n - 1, p - e0):
-            yield (e0,) + rest
-
-
 class MonomialKeys:
-    """Additive integer keys for monomials of degree at most p, and the
-    column of each degree-p key in enumerate_monomials(n, p).
+    """The degree-p monomials in x0..xn as int64 keys, in the column order
+    that fixes matrix columns and quotient-basis coordinates everywhere
+    downstream: descending graded lex, x0 largest first.
 
     A key is the mixed-radix number whose digits are the exponents, base
     p+1, x0 most significant.  No exponent exceeds p, so digits never carry:
     key(a*b) = key(a) + key(b) whenever deg a + deg b <= p.  On one degree
-    the key order is the lex order, so the degree-p keys descend along the
-    basis and a sorted search finds columns."""
+    the key order is the lex order, so the keys descend along the columns
+    and a sorted search finds them.  They are built one variable at a time:
+    the monomials of degree s in x_j..x_n are x_j^(s-t) times those of
+    degree t in x_(j+1)..x_n, for t = 0..s."""
 
     def __init__(self, n: int, p: int):
         base = p + 1
+        if n < 0 or p < 0 or n + 1 > MAX_VARIABLES:
+            raise ValueError(f"need 0 <= n < {MAX_VARIABLES} and p >= 0, got {n} {p}")
         if base ** (n + 1) >= 1 << 63:
             raise ValueError(f"degree-{p} keys in {n + 1} variables overflow int64")
-        self.weights = base ** np.arange(n, -1, -1, dtype=np.int64)
-        self._ascending = self.of(enumerate_monomials(n, p))[::-1]
+        self.base, self.weights = base, base ** np.arange(n, -1, -1, dtype=np.int64)
+        # keys in x_j..x_n of degree <= p (= p at j = 0), by degree, each descending
+        keys = degs = np.zeros(1, dtype=np.int64)  # 1, in no variables
+        for j in range(n, -1, -1):
+            tops = np.arange(base) if j else np.array([p])
+            ends = np.searchsorted(degs, tops, side="right")  # keys of degree <= s, per s
+            at = np.arange(ends.sum()) - np.repeat(np.cumsum(ends) - ends, ends)
+            top = np.repeat(tops, ends)
+            keys, degs = keys[at] + self.weights[j] * (top - degs[at]), top
+        self._ascending = keys[::-1]
 
-    def of(self, mons: Sequence[Monomial]) -> np.ndarray:
-        """Keys of a sequence of exponent tuples, as int64."""
-        return np.array(mons, dtype=np.int64).reshape(-1, self.weights.size) @ self.weights
+    def of(self, mons) -> np.ndarray:
+        """Keys of exponent tuples or exponent rows, as int64."""
+        return np.asarray(mons, dtype=np.int64).reshape(-1, self.weights.size) @ self.weights
 
     def columns(self, keys: np.ndarray) -> np.ndarray:
-        """Basis positions of degree-p keys."""
+        """Column positions of degree-p keys."""
         return self._ascending.size - 1 - np.searchsorted(self._ascending, keys)
+
+    def exponents(self, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """The exponent rows of the columns cols (all by default)."""
+        keys = self._ascending[::-1]
+        return (keys if cols is None else keys[cols])[:, None] // self.weights % self.base
+
+    @cached_property
+    def degrevlex(self) -> np.ndarray:
+        """The position of each column in descending degrevlex order
+        (x0 > ... > xn): the ascending order of the reversed exponents
+        (e_n, ..., e_0), which the key with x_n most significant sorts.
+        Read-only."""
+        rank = np.empty(self._ascending.size, dtype=np.int64)
+        rank[np.argsort(self.exponents() @ self.weights[::-1])] = np.arange(rank.size)
+        rank.setflags(write=False)
+        return rank
 
 
 @lru_cache(maxsize=None)
 def monomial_keys(n: int, p: int) -> MonomialKeys:
     return MonomialKeys(n, p)
+
+
+@lru_cache(maxsize=None)
+def enumerate_monomials(n: int, p: int) -> tuple[Monomial, ...]:
+    """All degree-p monomials in x0..xn as exponent tuples, in the column
+    order of monomial_keys(n, p)."""
+    return tuple(map(tuple, monomial_keys(n, p).exponents().tolist()))
 
 
 def monomial_count(n: int, p: int) -> int:
@@ -277,6 +290,12 @@ def euler_check(f: HomogeneousForm) -> bool:
             xm = m[:i] + (m[i] + 1,) + m[i + 1:]
             rhs[xm] = (rhs.get(xm, 0) + c) % p
     return f.scaled(f.degree).terms == {m: c for m, c in rhs.items() if c}
+
+
+def fermat_form(n: int, d: int, field: PrimeField) -> HomogeneousForm:
+    """x0^d + ... + xn^d."""
+    return HomogeneousForm.from_terms(
+        n, d, {tuple(d if j == i else 0 for j in range(n + 1)): 1 for i in range(n + 1)}, field)
 
 
 def random_form(n: int, degree: int, field: PrimeField, rng) -> HomogeneousForm:

@@ -120,7 +120,7 @@ def test_c5_echelon_rank_agrees_with_dense_oracle(corpus_flat):
     for entry in corpus_flat:
         ring = entry.ring(PRIME_A)
         ring.hilbert_function()
-        for degree, dim in sorted(ring.known_dims().items()):
+        for degree, dim in sorted({st["degree"]: st["dim"] for st in ring.stages()}.items()):
             mat = ideal_matrix(ring, degree)
             if mat.nrows * mat.ncols > 10 ** 7 or mat.nrows == 0:
                 continue

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from helpers import degrevlex_descending
+from varcert import polyring
 from varcert.polyring import (
     FormSyntaxError,
     HomogeneousForm,
@@ -13,9 +18,11 @@ from varcert.polyring import (
     VariableOutOfRangeError,
     enumerate_monomials,
     euler_check,
+    fermat_form,
     form_to_str,
     is_prime,
     monomial_count,
+    monomial_keys,
     multiply,
     parse_form,
     partial_derivatives,
@@ -58,6 +65,86 @@ def test_enumerate_monomials_known_rows():
     assert enumerate_monomials(1, 2) == ((2, 0), (1, 1), (0, 2))
     assert enumerate_monomials(0, 5) == ((5,),)
     assert enumerate_monomials(2, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def reference_exponents(n: int, p: int) -> np.ndarray:
+    """The degree-p exponent rows in x0..xn, descending lex, built apart from
+    the key table: stars and bars, the n bar positions among n+p slots from
+    itertools, then sorted."""
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + p), n)),
+                       dtype=np.int16).reshape(monomial_count(n, p), n)
+    exps = np.diff(bars, axis=1, prepend=-1, append=n + p) - 1
+    return exps[np.lexsort(exps.T[::-1])[::-1]]
+
+
+SMALL_SHAPES = [(n, p) for n in range(9) for p in range(7 if n < 6 else 5)]
+
+
+@pytest.mark.parametrize("shapes", [SMALL_SHAPES, [(1, 1000)], [(7, 16)], [(8, 18)]],
+                         ids=["small", "n1p1000", "n7p16", "n8p18"])
+def test_monomial_keys_order_matches_an_independent_reference(shapes):
+    for n, p in shapes:
+        ref = reference_exponents(n, p)
+        keys = monomial_keys(n, p)
+        step = 1 << 16
+        for lo in range(0, len(ref), step):
+            cols = np.arange(lo, min(lo + step, len(ref)))
+            assert np.array_equal(keys.exponents(cols), ref[lo:lo + step]), (n, p)
+            assert np.array_equal(keys.columns(keys.of(ref[lo:lo + step])), cols), (n, p)
+        if len(ref) <= 5000:
+            mons = tuple(map(tuple, ref.tolist()))
+            assert mons == tuple(sorted(mons, reverse=True))
+            assert enumerate_monomials(n, p) == mons, (n, p)
+            assert np.array_equal(keys.exponents(), ref), (n, p)
+            assert np.array_equal(keys.of(mons), keys.of(ref)), (n, p)
+
+
+def test_monomial_keys_degrevlex_rank():
+    for n, p in SMALL_SHAPES + [(3, 12), (7, 6)]:
+        mons = enumerate_monomials(n, p)
+        rank = monomial_keys(n, p).degrevlex
+        assert sorted(rank.tolist()) == list(range(len(mons))), (n, p)
+        assert [mons[c] for c in np.argsort(rank)] == degrevlex_descending(mons), (n, p)
+        assert not rank.flags.writeable
+
+
+def test_monomial_keys_refuse_before_allocating(monkeypatch):
+    # 128^9 = 2^63: the degree-127 keys in 9 variables overflow int64, and
+    # the refusal comes before numpy builds any of the C(135, 8) keys
+    class NoArrays:
+        def __getattr__(self, name):
+            pytest.fail(f"np.{name} called before the overflow check")
+
+    with monkeypatch.context() as m:
+        m.setattr(polyring, "np", NoArrays())
+        for n, p in [(8, 127), (0, (1 << 63) - 1), (9, 1), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError):
+                monomial_keys(n, p)
+        with pytest.raises(ValueError, match="overflow int64"):
+            enumerate_monomials(8, 127)
+    # the largest degree with int64 keys in one variable: a table of one key
+    assert enumerate_monomials(0, (1 << 63) - 2) == (((1 << 63) - 2,),)
+
+
+def test_monomial_keys_hold_no_exponent_tuples():
+    # the key tables of (7, 0..17) hold about 8 MiB; tuples held 124 MiB
+    monomial_keys.cache_clear()
+    enumerate_monomials.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in range(18):
+            monomial_keys(7, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monomial_keys.cache_clear()
+    assert peak < 32 << 20
+
+
+def test_fermat_form():
+    f = fermat_form(2, 3, F)
+    assert f.terms == {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+    assert form_to_str(f) == "x0^3 + x1^3 + x2^3"
 
 
 def test_parse_basic_and_roundtrip():

@@ -158,7 +158,7 @@ def test_external_ring_is_used():
     rep = maxvar(GeometryInput(KIND_HYPERSURFACE, form), ring=ring)
     assert rep.certified
     # the passed ring accumulated the dims the criterion needed
-    assert {3, 4, ring.socle + 1} <= set(ring.known_dims())
+    assert {3, 4, ring.socle + 1} <= {st["degree"]: st["dim"] for st in ring.stages()}.keys()
 
 
 def test_cor23_small_battery():
