@@ -166,21 +166,6 @@ class EchelonResult:
         out[list(self.pivots)] = -self._block % self.p
         return out
 
-    def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """The normal forms of the rows of an int64 array of shape (m,
-        ncols) modulo the row space, with entries in [0, p); zero on pivot
-        columns."""
-        p = self.p
-        if block.shape[1] != self.ncols:
-            raise ValueError("block width does not match column count")
-        v = block % p
-        out = np.zeros_like(v)
-        free = list(self._free)
-        if free:
-            red = matmul_modp(v[:, list(self.pivots)], self._block, p)
-            out[:, free] = (v[:, free] - red) % p
-        return out
-
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p, p < 2^63, for int64 or uint64 arrays with
@@ -369,10 +354,10 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.
     the updates of at most p (p-1) that an entry below p takes in uint64.
     With k >= 1 (p < 2^32) an update adds (p - f) r, and y is reduced after
     every k updates, so no entry passes p - 1 + k p (p-1) < 2^64 (delayed
-    reduction, Dumas-Giorgi-Pernet 2008): the whole batch, or with k = 1
-    the slab just updated, and each row when it is read.  With k = 0 y
-    stays in [0, p) and each update is reduced from a float quotient (van
-    der Hoeven, Lecerf and Quintin 2016).  There r comes as the pair
+    reduction, Dumas-Giorgi-Pernet 2008): the whole batch, and each row
+    when it is read.  With k = 0 y stays in [0, p) and each update is
+    reduced from a float quotient (van der Hoeven, Lecerf and Quintin
+    2016).  There r comes as the pair
     (R', r) = (u 2^31, u) v^-1 mod p, for the raw row u with pivot entry v,
     from one uint64 product of u's 31-bit split, whose quotients are below
     2^33, and one _Zp64.reduce.  With f = f_h 2^31 + f_l, y - f r is
@@ -406,13 +391,10 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.
                 for a in range(j, c, step):
                     part = yt[a:a + step]
                     part += yt[a:a + step, i, None] * g
-                    if k == 1:  # only this slab moved: reduce it while in cache
-                        part %= P
-                if k > 1:
-                    pending += 1
-                    if pending == k:
-                        y %= P
-                        pending = 0
+                pending += 1
+                if pending == k:
+                    y %= P
+                    pending = 0
         else:
             m = np.array([[(inv << 62) % p, (inv << 31) % p], [(inv << 31) % p, inv]],
                          dtype=np.uint64)
@@ -482,14 +464,13 @@ def rref(mat: FieldMatrix) -> EchelonResult:
     return EchelonResult(p, c, tuple(piv.pivots[order].tolist()), piv.block[order].view(np.int64))
 
 
-def kernel_witness(mat: FieldMatrix, ech: EchelonResult | None = None) -> Optional[list[int]]:
-    """A verified nonzero kernel vector, or None when columns are independent.
+def kernel_witness(mat: FieldMatrix, ech: EchelonResult) -> Optional[list[int]]:
+    """A verified nonzero kernel vector of mat, or None when its columns
+    are independent, read from ech = rref(mat).
 
     Uses the leftmost free column, so the witness is deterministic: the
     columns left of it are the pivots of the first rows, and their entries
     at it (column 0 of the free block) give the rest of the vector."""
-    if ech is None:
-        ech = rref(mat)
     if ech.rank == mat.ncols:
         return None
     p = mat.p

@@ -1,15 +1,16 @@
 """Helpers only the tests call: matrices from dict rows and their product
-with a vector, a writer for the matrix dump format that `rank-oracle`
-reads, the injectivity-descent property behind C7, the relation matrix
-with one column per pair (variable, basis monomial), and the ideal matrix
-of any degree, the reference the chain's dims, bases and normal forms are
-checked against."""
+with a vector, the normal forms of rows modulo an echelon, a writer for
+the matrix dump format that `rank-oracle` reads, the injectivity-descent
+property behind C7, the relation matrix with one column per pair
+(variable, basis monomial), and the ideal matrix of any degree, the
+reference the chain's dims, bases and normal forms are checked against."""
 
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from varcert.exactla import _ROWS_PER_READ, CsrRows, FieldMatrix, RowArrays
+from varcert.exactla import (_ROWS_PER_READ, CsrRows, EchelonResult, FieldMatrix, RowArrays,
+                             matmul_modp)
 from varcert.jacobian import JacobianRing
 from varcert.lefschetz import mult_map
 from varcert.polyring import (HomogeneousForm, Monomial, enumerate_monomials, monomial_count,
@@ -37,6 +38,16 @@ def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix
 def mul_vector(mat: FieldMatrix, v: Sequence[int]) -> list[int]:
     """mat @ v mod p, in Python ints, one dict row at a time."""
     return [sum(c * v[j] for j, c in r.items()) % mat.p for r in mat.rows]
+
+
+def reduce_rows(ech: EchelonResult, block: np.ndarray) -> np.ndarray:
+    """The normal forms of the rows of an int64 array of shape (m, ncols)
+    modulo ech's row space, with entries in [0, p) and zero at the pivot
+    columns: block @ ech.normal_forms(), one matmul_modp, placed at the
+    free columns."""
+    out = np.zeros(block.shape, dtype=np.int64)
+    out[:, list(ech.free_columns())] = matmul_modp(block % ech.p, ech.normal_forms(), ech.p)
+    return out
 
 
 def dump_matrix(mat: FieldMatrix, path) -> None:

@@ -18,8 +18,9 @@ JSON stdout is re-dumped with indent=2, keys in their order, without
 timings_ms, the only subtree that differs between identical runs.  The
 corpus: hilbert, wlp, maxvar hypersurface -e 1/2/3 and maxvar double-cover,
 in JSON and text, on seeded forms, CI's quartic, a singular quartic and a
-cone at eight primes from 7 to 2^62-57, and on Fermat forms; rank-oracle
-dumps; usage errors; and size-guard refusals, so exit codes 0-5 all occur.
+cone at eight primes from 7 to 2^62-57, and on Fermat forms, a Fermat
+quartic at 5 with its NoEvidence witness among them; rank-oracle dumps;
+usage errors; and size-guard refusals, so exit codes 0-5 all occur.
 The forms are generated here, independent of varcert's own monomial order.
 """
 
@@ -112,6 +113,11 @@ def corpus() -> list[list[str]]:
     out += [["wlp", "--fermat", "4", "4", "--prime", "5", "--seed", "2"],
             ["wlp", "n3d5.txt", "--prime", "1048573", "--seed", "2", "--trials", "1"],
             ["maxvar", "hypersurface", "--fermat", "3", "4", "-e", "5", "--prime", "1048573"]]
+    # NoEvidence: a rank deficiency at 5 prints a kernel witness and a
+    # failure bound, the second through the e=1 criterion
+    for cmd, fmt in itertools.product((["hypersurface"], ["double-cover", "-e", "2"]), FORMATS):
+        out.append(["maxvar", cmd[0], "--fermat", "3", "4", *cmd[1:], "--prime", "5",
+                    "--format", fmt])
     for p, fmt in itertools.product((1048573, P61, P62), FORMATS):
         out.append(["rank-oracle", f"rank-{p}.txt", "--format", fmt])
     # usage errors (exit 1) and size-guard refusals (exit 5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import ideal_matrix, injectivity_descends
+from helpers import ideal_matrix, injectivity_descends, reduce_rows
 from varcert.exactla import FieldMatrix, kernel_witness, rref
 from varcert.jacobian import JacobianRing, fermat_ring
 from varcert.lefschetz import (
@@ -325,7 +325,7 @@ def canonical_map(ring, h, p):
     cols = keys.columns(keys.of(source)[:, None] + keys.of(list(h.terms)))
     block = np.zeros((len(source), ref.ncols), dtype=np.int64)
     block[np.arange(len(source))[:, None], cols] = list(h.terms.values())
-    reduced = ref.reduce_block(block)
+    reduced = reduce_rows(ref, block)
     return ref, FieldMatrix.from_array(ring.field.p, reduced[:, list(ref.free_columns())].T)
 
 
@@ -364,4 +364,4 @@ def test_maps_into_relation_degrees_match_the_canonical_echelon(label, make, var
         keys = monomial_keys(ring.n, p)
         dense = np.zeros((1, ref.ncols), dtype=np.int64)
         dense[0, keys.columns(keys.of(list(prod.terms)))] = list(prod.terms.values())
-        assert not ref.reduce_block(dense).any(), p
+        assert not reduce_rows(ref, dense).any(), p

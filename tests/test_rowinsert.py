@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import from_rows, ideal_matrix
+from helpers import from_rows, ideal_matrix, reduce_rows
 from rref_reference import rref_sparse
 from varcert import exactla
 from varcert.exactla import (
@@ -123,8 +123,9 @@ def test_block_product_matches_python_ints(p, monkeypatch):
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
 def test_reduce_block_and_vector_match_python_ints(p):
-    # an echelon with more than 64 pivots and a block of edge values: the
-    # normal form of v is v - v[pivots] @ block at the free columns
+    # helpers.reduce_rows on an echelon with more than 64 pivots and a block
+    # of edge values: the normal form of v is v - v[pivots] @ block at the
+    # free columns (the name is kept so that the test's ids stay stable)
     rng = random.Random(p + 2)
     ncols, rank = 160, 100
     pivots = tuple(sorted(rng.sample(range(ncols), rank)))
@@ -138,7 +139,7 @@ def test_reduce_block_and_vector_match_python_ints(p):
         for j, col in enumerate(free):
             out[col] = (v[col] - sum(v[c] * blk[k][j] for k, c in enumerate(pivots))) % p
         expect.append(out)
-    assert e.reduce_block(vecs).tolist() == expect
+    assert reduce_rows(e, vecs).tolist() == expect
 
 
 def python_gauss_jordan(rows, p):
