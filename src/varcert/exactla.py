@@ -2,7 +2,9 @@
 
 rref() is one batched Gauss-Jordan for every prime.  Rows are read one
 way, as dense blocks (FieldMatrix.dense), however they are held: an array,
-rows built on request, or the CSR arrays of a matrix dump.  matmul_modp()
+rows built on request, or the CSR arrays of a matrix dump.  A batch's rows
+that are pivot rows already (they lead with 1 and are zero at each other's
+leads) are taken first, and one product clears their columns.  matmul_modp()
 is the one exact product it and its callers use: below 2^21, with an inner
 dimension short enough, one float64 GEMM; otherwise float64 GEMMs of
 21-bit limbs, recombined in uint64 words that a rounded float64 estimate
@@ -337,18 +339,49 @@ class _PivotRows:
         self.free = self.free[keep]
 
 
+def _unit_pivots(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], list[int]]:
+    """The rows of the uint64 array y (entries in [0, p)) that are already
+    pivot rows, up to budget of them in row order, and their pivot columns:
+    the rows whose first nonzero entry is 1 and that are zero at the leading
+    column of every other such row.  Unless budget stops them, one
+    matmul_modp clears their columns from the other rows of y that touch
+    them, in place."""
+    nb = y.shape[0]
+    first = (y != 0).argmax(axis=1)
+    unit = np.flatnonzero(y[np.arange(nb), first] == 1)  # an empty row's 0 is no 1
+    if not unit.size:
+        return [], []
+    j = first[unit]
+    alone = (y[:, j][unit] != 0).sum(axis=1) == 1  # its own 1 only
+    rows, j = unit[alone][:budget], j[alone][:budget]
+    if rows.size and rows.size < budget:
+        f = y[:, j]
+        f[rows] = 0
+        hit = np.flatnonzero(f.any(axis=1))
+        if hit.size:
+            y[hit] = zp.sub(y[hit], matmul_modp(f[hit], y[rows], int(zp.p)))
+    return j.tolist(), rows.tolist()
+
+
 def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.ndarray]:
     """Bring the rows of the uint64 array y to reduced echelon form, up to
     budget pivots; returns the pivot column of each pivot row and those
     rows.  Once budget pivots are found the rows after the last are not
     scanned: with budget the rank left to a proven bound, they lie in the
-    span, which the caller's residual check verifies.  Each pivot row is
+    span, which the caller's residual check verifies.
+
+    First the rows that are pivot rows already are taken (_unit_pivots):
+    each leads with 1 and is zero at the others' leads, so together they
+    are in reduced echelon form, and one product clears their columns from
+    the rest.  A relation matrix's known rows come this way (see
+    JacobianRing.relation_matrix), with no inverse and no update per pivot.
+    The other rows are then scanned in order.  Each new pivot row is
     normalized when found, to r with 1 at its pivot column j, and clears
-    that column from the other rows with the column itself, reduced, as the
-    factors f: y - f r.  r is 0 at the earlier pivots' columns, so those
-    stay cleared and every pivot row keeps its 1.  Each update is applied
-    to the whole slice y[:, j:] in place, so y is overwritten; with y in
-    column-major order that slice is one slab.
+    that column from the other rows, taken rows included, with the column
+    itself, reduced, as the factors f: y - f r.  r is 0 at the earlier
+    pivots' columns, so those stay cleared and every pivot row keeps its 1.
+    Each update is applied to the whole slice y[:, j:] in place, so y is
+    overwritten; with y in column-major order that slice is one slab.
 
     The update rule follows from one number, k = (2^64 - p) // (p (p-1)),
     the updates of at most p (p-1) that an entry below p takes in uint64.
@@ -367,10 +400,16 @@ def _gauss_jordan(zp: _Zp64, y: np.ndarray, budget: int) -> tuple[list[int], np.
     any nb."""
     P, p, (nb, c) = zp.p, int(zp.p), y.shape
     k = ((1 << 64) - p) // (p * (p - 1))
+    lead, rows = _unit_pivots(zp, y, budget)
+    if len(lead) == budget:
+        return lead, y[rows]
+    taken = set(rows)
     yt = y.T  # with y column-major, the columns an update touches are one slab
     step = max(1, _CHUNK // max(1, nb))
-    lead, rows, pending = [], [], 0  # pending: updates since y was reduced
+    pending = 0  # updates since y was reduced
     for i in range(nb):
+        if i in taken:
+            continue
         if pending:
             y[i] %= P
         nz = y[i].nonzero()[0]  # np.flatnonzero would copy the strided row
@@ -427,14 +466,18 @@ def rref(mat: FieldMatrix) -> EchelonResult:
     mat.dense, empty ones dropped.  A batch's pivot and free columns are
     gathered from it and reduced modulo the pivot rows (one matmul_modp),
     brought to reduced echelon form, and its pivots are back-substituted
-    into the pivot rows (one more).  Reduced again, the batch must vanish:
-    the row space only grows, so every row read lies in the final one.
-    Elimination stops at the matrix's rank bound (at most ncols), where the
-    pivot rows span the row space: no further batch is read, and a batch
-    that reaches it stops scanning its rows there.  Its remaining rows are
-    still reduced by the residual check, so a bound below the true rank
-    leaves a nonzero residue and is caught like any arithmetic fault.  A
-    pivot block whose largest size, r x (ncols - r), exceeds
+    into the pivot rows (one more).  The rows of a reduced batch that lead
+    with 1 and are zero at each other's leads are pivot rows already, and
+    _gauss_jordan takes them first: a relation matrix's known rows, which
+    lead with 1 at columns no earlier row touches, mostly come this way.
+    Reduced again, the batch must vanish: the row space only grows, so
+    every row read lies in the final one.  Elimination stops at the
+    matrix's rank bound (at most ncols), where the pivot rows span the row
+    space: no further batch is read, and a batch that reaches it stops
+    scanning its rows there, within its taken rows too.  Its remaining
+    rows are still reduced by the residual check, so a bound below the true
+    rank leaves a nonzero residue and is caught like any arithmetic fault.
+    A pivot block whose largest size, r x (ncols - r), exceeds
     ENGINE_BYTES_LIMIT is refused before allocating."""
     p, c = mat.p, mat.ncols
     if mat.nrows == 0 or c == 0 or mat.rank_bound == 0:

@@ -29,9 +29,14 @@ d-1 and runs up to socle+1, whose relation matrix is at most n+1 columns
 wide.  The relation matrices order their columns by descending
 degrevlex, so each relation degree's basis is its degrevlex standard
 monomials, the order in which generic initial ideals behave best
-(Bayer-Stillman 1987), and the products of a basis stay few.  The
+(Bayer-Stillman 1987), and the products of a basis stay few.  A relation
+matrix leads with a known row for each product x_k b that has a divisor
+outside that basis: its column is a leading monomial of the ideal, and the
+row leads there with 1, so rref takes it as a pivot row with no search (the
+known-pivot split of F4 Macaulay matrices, Faugere-Lachartre 2010).  The
 complete-intersection series bounds every rank from above, which lets the
-elimination stop reading rows early.
+elimination stop reading rows early, inside the known rows when every pivot
+is known, as on a Fermat form.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ def ci_hilbert_coefficients(n: int, d: int) -> list[int]:
 class _RelationRows(RowArrays):
     """The rows x_k (x) [m] - x_j (x) [m'] of a relation matrix, one per
     pair of positions a = k * M + m, b = j * M + m' (M the number of
-    degree-q monomials).  Its columns are the distinct products of a
+    degree-q monomials), x_k m = x_j m': the `known` rows first, then the
+    consecutive pairs.  Its columns are the distinct products of a
     variable and a basis monomial of R_q, `products` in column order, and
     x_k (x) [m] is the normal form NF_q[m] of m in that basis (f columns) at
     the columns ucol[k] of the products x_k b_0..x_k b_{f-1}.  No two
@@ -116,9 +122,10 @@ class _RelationRows(RowArrays):
     every row asks `forms` a logarithmic number of times."""
 
     def __init__(self, forms: Callable[[np.ndarray], np.ndarray], m: int, products: np.ndarray,
-                 ucol: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
+                 ucol: np.ndarray, a: np.ndarray, b: np.ndarray, p: int, known: int):
         self._forms, self._m, self._a, self._b, self._p = forms, m, a, b, p
         self.products, self.ucol, self.ncols = products, ucol, products.size
+        self.known = known  # the leading rows that are known rows
         self._formed = 0  # the leading rows whose normal forms were asked for
 
     def __len__(self) -> int:
@@ -251,7 +258,8 @@ class JacobianRing:
         step = max(1, _FORM_CELLS // max(1, nf.nu))
         for lo in range(0, miss.size, step):
             part = miss[lo:lo + step]
-            first = _product_order(self.n, p - 1)[3][part]  # x_k m, k least
+            order, _, _, starts = _product_order(self.n, p - 1)
+            first = order[starts[part]]  # x_k m, k least
             a = np.zeros((part.size, nf.nu), dtype=np.int64)
             a[np.arange(part.size)[:, None], nf.ucol[first // m]] = \
                 self.normal_forms(p - 1, first % m)
@@ -273,10 +281,11 @@ class JacobianRing:
         if relation:
             self.graded_dim(p - 1)  # the degree below is its own stage
         t0 = time.perf_counter()
+        known = 0
         if relation:
             mat = self.relation_matrix(p - 1)
             nf, basis, rank = self._next_normal_forms(p - 1, mat)
-            shape, read = [mat.nrows, mat.ncols], mat.rows_read
+            shape, read, known = [mat.nrows, mat.ncols], mat.rows_read, mat.rows.known
         elif p < self.degree - 1:
             _check_step_bytes(p, "ideal", 8 * cols * cols)
             nf, basis, rank = None, np.arange(cols, dtype=np.int64), 0
@@ -291,7 +300,7 @@ class JacobianRing:
         self._pieces[p] = nf, basis
         self._stages[p] = {
             "degree": p, "route": "relation" if relation else "ideal",
-            "shape": shape, "rows_read": read, "rank": rank, "dim": basis.size,
+            "shape": shape, "rows_read": read, "known": known, "rank": rank, "dim": basis.size,
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
 
     def relation_matrix(self, q: int) -> FieldMatrix:
@@ -316,20 +325,47 @@ class JacobianRing:
         that are no degrevlex leading monomial of I_{q+1}.  When the basis
         of R_q is its degrevlex standard monomials, U_q holds every standard
         monomial of degree q+1 (they are closed under division), so the
-        basis of R_{q+1} is its degrevlex standard monomials in turn."""
+        basis of R_{q+1} is its degrevlex standard monomials in turn.
+
+        The rows start with one known row per product u = x_k b in U_q
+        that has a divisor u/x_j outside the basis, j the largest such
+        index, in ascending degrevlex of u: the pair row
+        x_k (x) [b] - x_j (x) [u/x_j], the sum of the consecutive pair rows
+        between its two positions, so the row space, the rank bound and
+        the echelon stay those of the pairs.  Its first half is 1 at u,
+        since [b] is a unit vector.  When the basis is the degrevlex normal
+        set, NF_q[u/x_j] holds only standard monomials b' below u/x_j
+        (u/x_j - NF_q[u/x_j] lies in I_q, so its leading monomial is not
+        standard: it is u/x_j), so every x_j b' is below u and the row
+        leads with 1 at u: u is a leading monomial of I_{q+1}, known before
+        any elimination, and no known row has an entry at a later one's
+        column.  rref takes such rows as pivot rows without a search
+        (exactla._gauss_jordan).  At q = d-1 the basis comes from the ideal
+        step's columns, so a known row may lead elsewhere there; rref then
+        finds its pivot like any other row's."""
         if q < self.degree - 1:
             raise ValueError(f"relations give degree q+1 only for q >= {self.degree - 1}")
         n, prime = self.n, self.field.p
         f = self.graded_dim(q)
         self._check_chain_bytes(q, f)
-        order, pair, prods, _ = _product_order(n, q)
-        cols = prods.reshape(n + 1, -1)[:, self._pieces[q][1]].ravel()
+        order, pair, prods, starts = _product_order(n, q)
+        basis, m = self._pieces[q][1], monomial_count(n, q)
+        cols = prods.reshape(n + 1, -1)[:, basis].ravel()
         _, first, ucol = np.unique(monomial_keys(n, q + 1).degrevlex[cols], return_index=True,
                                    return_inverse=True)
         products = cols[first]
-        rows = _RelationRows(functools.partial(self.normal_forms, q), monomial_count(n, q),
-                             products, ucol.reshape(n + 1, f), order[:-1][pair],
-                             order[1:][pair], prime)
+        # per product column, the last position x_j m in product order (j
+        # largest) whose m is outside the basis, or -1: the known rows, in
+        # ascending degrevlex of their products
+        outside = np.ones(m, dtype=bool)
+        outside[basis] = False
+        last = np.maximum.reduceat(np.where(outside[order % m], np.arange(order.size), -1),
+                                   starts)[products]
+        known = np.flatnonzero(last >= 0)[::-1]
+        a = np.concatenate([first[known] // f * m + basis[first[known] % f], order[:-1][pair]])
+        b = np.concatenate([order[last[known]], order[1:][pair]])
+        rows = _RelationRows(functools.partial(self.normal_forms, q), m, products,
+                             ucol.reshape(n + 1, f), a, b, prime, known.size)
         return FieldMatrix(prime, products.size, rows,
                            rank_bound=products.size - self._ci_dim(q + 1))
 
@@ -340,7 +376,9 @@ class JacobianRing:
         (n+1) f wide), T (at most (n+1) f x g), NF_{q+1} and the products
         that fill it (C(n+q+1, n) x g each), where g bounds dim R_{q+1}.
         NF_{q+1} is now formed only for the monomials read, so the last two
-        terms overcount; they stay so that the same jobs are refused."""
+        terms overcount; they stay so that the same jobs are refused.  The
+        known rows add two index arrays of at most (n+1) f entries, which
+        the overcount covers, so the refusals are unchanged."""
         cols = monomial_count(self.n, q + 1)
         nrows = (self.n + 1) * monomial_count(self.n, q) - cols
         g = min((self.n + 1) * f, cols)
@@ -378,7 +416,8 @@ class JacobianRing:
     def stages(self) -> list[dict]:
         """How each degree was obtained, in degree order: its route
         ("ideal" or "relation"), the shape of the matrix eliminated, the rows
-        rref read, its rank, the dim and the wall time in ms."""
+        rref read, the known rows it leads with (0 on an ideal step), its
+        rank, the dim and the wall time in ms."""
         return [self._stages[p] for p in sorted(self._stages)]
 
     def certify_smooth(self) -> bool:
@@ -407,17 +446,17 @@ def _product_order(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     positions t = k * C(n+q, n) + m ordered by the column of the product (a
     stable sort, so k ascends within one product), the mask of the
     positions whose product equals the next one's, the column of the
-    product at each position, and the first position of each degree-(q+1)
-    monomial column (its x_k m with k least).  Kept per (n, q) and
-    read-only."""
+    product at each position, and where in that order each degree-(q+1)
+    monomial column's positions start (the first is its x_k m with k
+    least).  Kept per (n, q) and read-only."""
     keys = monomial_keys(n, q + 1)
     prods = keys.columns((keys.of(monomial_keys(n, q).exponents()) + keys.weights[:, None]).ravel())
     order = np.argsort(prods, kind="stable")
     pair = prods[order[1:]] == prods[order[:-1]]
-    heads = order[np.concatenate([[True], ~pair])]
-    for a in (order, pair, prods, heads):
+    starts = np.flatnonzero(np.concatenate([[True], ~pair]))
+    for a in (order, pair, prods, starts):
         a.setflags(write=False)
-    return order, pair, prods, heads
+    return order, pair, prods, starts
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:

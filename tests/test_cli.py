@@ -463,7 +463,7 @@ def test_stages_report_each_degree_and_its_route(capsys):
             assert s["dim"] == cols - s["rank"]
 
 
-STAGE_KEYS = {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
+STAGE_KEYS = {"degree", "route", "shape", "rows_read", "known", "rank", "dim", "ms"}
 
 
 def test_timings_show_mirrored_degrees_and_one_record_per_stage(capsys):

@@ -369,8 +369,12 @@ def test_relation_rank_gives_the_next_graded_dim(label, n, d, text, smooth, prim
 def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smooth, prime):
     # summing the columns of the pair-indexed relation matrix whose
     # products x_k b_i coincide gives exactly the rows of
-    # relation_matrix(q); the columns merged away take with them the rank
-    # of the relations joining coinciding products, one per merged column
+    # relation_matrix(q) after its known rows; the columns merged away take
+    # with them the rank of the relations joining coinciding products, one
+    # per merged column.  A known row (x_k b, x_j m) of a product u = x_k b
+    # = x_j m, b in the basis and m = u/x_j outside it with j largest, is
+    # the sum of the consecutive pair rows between its two positions, so
+    # it adds no rank
     ring = route_ring(n, d, text, prime)
     for q in range(d - 1, ring.socle + 2):
         basis = ring.quotient_basis(q)
@@ -387,8 +391,80 @@ def test_merged_relation_matrix_sums_the_pair_indexed_one(label, n, d, text, smo
             for i, b in enumerate(basis):
                 c = column[times_variable(b, k)]
                 merged[:, c] = (merged[:, c] + dense[:, k * f + i]) % prime
-        assert np.array_equal(rel.dense(), merged), q
+        known, rows = rel.rows.known, rel.dense()
+        assert np.array_equal(rows[known:], merged), q
+        # the pair rows of each u start where those of the monomials
+        # before it end, one row per consecutive pair of its variables
+        start, at = {}, 0
+        for u in mons:
+            start[u] = at
+            at += sum(1 for e in u if e) - 1
+        m, below, standard = monomial_count(n, q), enumerate_monomials(n, q), set(basis)
+        for r in range(known):
+            (k, b), (j, mj) = divmod(int(rel.rows._a[r]), m), divmod(int(rel.rows._b[r]), m)
+            u = times_variable(below[b], k)
+            assert u == times_variable(below[mj], j), q
+            assert below[b] in standard and below[mj] not in standard, q
+            assert j == max(i for i in range(n + 1) if u[i] and below_by(u, i) not in standard)
+            dividing = [i for i in range(n + 1) if u[i]]
+            lo, hi = sorted((dividing.index(k), dividing.index(j)))
+            telescoped = (merged[start[u] + lo:start[u] + hi].astype(object).sum(axis=0)
+                          % prime).astype(np.int64)
+            assert np.array_equal(rows[r], telescoped if k < j else -telescoped % prime), q
         assert rref(pairs).rank == rref(unbounded(rel)).rank + (n + 1) * f - len(products), q
+
+
+def below_by(u, j):
+    """u / x_j."""
+    return u[:j] + (u[j] - 1,) + u[j + 1:]
+
+
+def known_products(n, q, basis):
+    """The products u = x_k b of a variable and a monomial of basis that
+    have a divisor u/x_j outside basis, in descending degrevlex."""
+    standard = set(basis)
+    return [u for u in degrevlex_descending(product_monomials(n, q, basis))
+            if any(u[j] and below_by(u, j) not in standard for j in range(n + 1))]
+
+
+@pytest.mark.parametrize("prime", ROUTE_PRIMES)
+@pytest.mark.parametrize("label,n,d,text,smooth", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_known_rows_lead_the_relation_matrix(label, n, d, text, smooth, prime):
+    # every relation degree leads with one known row per product that has a
+    # divisor outside the basis of R_q, and its stage counts them.  From q
+    # = d on the basis is the degrevlex normal set (see the next test), so
+    # each known row leads with 1 at its product's column, the products in
+    # ascending degrevlex; at q = d-1 the basis comes from the ideal step's
+    # columns, whose normal forms need not be smaller in degrevlex, so a
+    # known row may lead elsewhere there
+    ring = route_ring(n, d, text, prime)
+    for q in range(d - 1, ring.socle + 1):
+        rel = ring.relation_matrix(q)
+        mons = enumerate_monomials(n, q + 1)
+        products = [mons[j] for j in rel.rows.products]
+        known = known_products(n, q, ring.quotient_basis(q))
+        assert rel.rows.known == len(known), q
+        ring.graded_dim(q + 1)
+        assert {st["degree"]: st["known"] for st in ring.stages()}[q + 1] == len(known), q
+        if q < d:
+            continue
+        rows = rel.dense(0, len(known))
+        leads = [int(np.flatnonzero(r)[0]) for r in rows]
+        assert leads == [products.index(u) for u in reversed(known)], q
+        assert all(r[c] == 1 for r, c in zip(rows, leads)), q
+    assert all(st["known"] == 0 for st in ring.stages() if st["route"] == "ideal")
+
+
+def test_fermat_relation_degrees_read_only_their_known_rows():
+    # every pivot of a Fermat form's relation degrees is known: each degree
+    # reads its known rows up to the rank bound, 32 ceil(rank / 32) rows
+    ring = fermat_ring(4, 5, F)
+    assert ring.certify_smooth()
+    relation = [st for st in ring.stages() if st["route"] == "relation"]
+    assert [st["degree"] for st in relation] == list(range(5, ring.socle + 2))
+    for st in relation:
+        assert st["known"] == st["rank"], st
+        assert st["rows_read"] == 32 * -(-st["rank"] // 32), st
 
 
 @pytest.mark.parametrize("prime", ROUTE_PRIMES)
@@ -461,7 +537,7 @@ def test_relation_steps_keep_their_normal_forms(monkeypatch):
     assert relation == list(range(4, ring.socle + 2))
     for st in stages:
         q = st["degree"]
-        assert set(st) == {"degree", "route", "shape", "rows_read", "rank", "dim", "ms"}
+        assert set(st) == {"degree", "route", "shape", "rows_read", "known", "rank", "dim", "ms"}
         assert ring.normal_forms(q).shape == (monomial_count(4, q), st["dim"])
         assert len(ring.quotient_basis(q)) == ring.graded_dim(q) == st["dim"]
     assert len(calls) == len(stages)
@@ -514,10 +590,13 @@ def test_degrees_below_d_minus_1_keep_no_normal_forms():
 
 
 def test_relation_rows_ask_for_normal_forms_ahead(monkeypatch):
-    # reading all 1760 rows (55 batches) of a relation matrix forms the
-    # normal forms they read in 7 products, one each time a batch passes
-    # the rows asked for, which then double (32, 64, ..., 1024, 1760); the
-    # rows equal those built from normal forms formed all at once
+    # reading all 1960 rows (200 known rows and 1760 pair rows, 62
+    # batches) of a relation matrix asks for the normal forms they read 7
+    # times, each time a batch passes the rows asked for, which then
+    # double (32, 64, ..., 1024, 1960).  The first three asks find T's
+    # rows; the other four form theirs in one product each at degree 8
+    # (|U_7| = 310 rows of T), composing 6 more through the degrees below.
+    # The rows equal those built from normal forms formed all at once
     import varcert.jacobian as jacobian
     ring = fermat_ring(4, 5, F)
     ring.normal_forms(8)
@@ -528,7 +607,8 @@ def test_relation_rows_ask_for_normal_forms_ahead(monkeypatch):
     monkeypatch.setattr(jacobian, "matmul_modp",
                         lambda a, b, p: calls.append(a.shape) or matmul_modp(a, b, p))
     assert list(rel.rows) == whole
-    assert len(calls) == 7
+    assert len(calls) == 10
+    assert sum(width == 310 for _, width in calls) == 4
 
 
 def test_relation_degrees_hold_only_the_normal_forms_read():

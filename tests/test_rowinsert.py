@@ -1,6 +1,7 @@
 """rref's batched elimination and its exact product: float-quotient
-arithmetic, the one-GEMM and limb-split products, exactness at the limb- and
-word-boundary primes against the sparse reference, dense row reads, the stop
+arithmetic, the one-GEMM and limb-split products, the unit-pivot step,
+exactness at the limb- and word-boundary primes against the sparse
+reference, dense row reads, the stop
 at the rank bound, the pre-flight size guard, the residual check and the
 memory budget."""
 
@@ -181,15 +182,17 @@ def recording_reductions(y):
 def test_gauss_jordan_defers_reduction_below_its_bound(p):
     # below 2^32 an update adds (p - f) r, at most p (p-1), in uint64, and
     # the batch is reduced after every k updates.  k + 1 pivot rows
-    # e_t + (p-1) e_T, then e_L + (p-1) e_T, which is 0 at every pivot and so
-    # gains p (p-1) at T from each, then a row in their span that every
-    # pivot has to clear: the entry at T reaches p - 1 + k p (p-1) before
-    # the first reduction, and one more update would wrap it
+    # 2 (e_t + (p-1) e_T), then 2 e_L + (p-1) e_T, which is 0 at every pivot
+    # and so gains p (p-1) at T from each, then a row in their span that
+    # every pivot has to clear: the entry at T reaches p - 1 + k p (p-1)
+    # before the first reduction, and one more update would wrap it.  No
+    # row leads with 1, so the per-pivot loop finds every pivot
     k = updates_per_reduction(p)
     assert k >= 1 and p - 1 + (k + 1) * p * (p - 1) >= 1 << 64
-    rows = [[int(j == t) for j in range(k + 1)] + [0, p - 1] for t in range(k + 1)]
-    rows.append([0] * (k + 1) + [1, p - 1])
-    rows.append([1] * (k + 1) + [0, (k + 1) * (p - 1) % p])
+    rows = [[2 * int(j == t) for j in range(k + 1)] + [0, p - 2] for t in range(k + 1)]
+    rows.append([0] * (k + 1) + [2, p - 1])
+    rows.append([2] * (k + 1) + [0, (k + 1) * (p - 2) % p])
+    assert exactla._unit_pivots(_Zp64(p), np.array(rows, dtype=np.uint64), len(rows)) == ([], [])
     y, seen = recording_reductions(np.array(rows, dtype=np.uint64, order="F"))
     lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
     assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
@@ -250,6 +253,65 @@ def test_gauss_jordan_numpy_factors_match_python_ints(p):
             lead, new = exactla._gauss_jordan(_Zp64(p), y, len(rows))
             assert (lead, new.tolist()) == python_gauss_jordan(rows, p)
             assert (y <= p - 1 + (k - 1) * p * (p - 1)).all()
+
+
+def by_lead(lead, rows):
+    """Pivot rows as (pivot column, row) pairs in column order: the reduced
+    echelon form does not depend on the order the pivots were found in."""
+    return sorted(zip(lead, [list(r) for r in rows]))
+
+
+def unit_row(rng, p, width, lead, zeros):
+    """A row that leads with 1 at lead, is 0 at the columns zeros and
+    random after its lead elsewhere."""
+    return [0] * lead + [1] + [0 if c in zeros else rng.randrange(p)
+                               for c in range(lead + 1, width)]
+
+
+UNIT_PRIMES = [1048573, K32_NEXT, K1_FIRST, WORD_LAST, P62]
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("p", UNIT_PRIMES)
+def test_gauss_jordan_takes_unit_pivots_first(p, order):
+    # rows that lead with 1 and are 0 at each other's leads are taken as
+    # pivot rows before the per-pivot loop; one product clears their columns
+    # from the rows that touch them, and the loop back-substitutes into
+    # them.  Not taken: a row that leads with 2, a unit-led row with an
+    # entry at another unit-led row's lead (the row of lead 9 is nonzero at
+    # 16), and two unit-led rows with the same lead 22
+    rng = random.Random(p)
+    width, leads = 40, [3, 7, 12, 16, 30]
+    taken = {lead: unit_row(rng, p, width, lead, set(leads) | {9, 22}) for lead in leads}
+    touching = [[rng.randrange(2, p)] + [rng.randrange(p) for _ in range(width - 1)]
+                for _ in range(4)]
+    two_led = [0] * 5 + [2] + [0 if c in leads else rng.randrange(p) for c in range(6, width)]
+    at_other = unit_row(rng, p, width, 9, set(leads) - {16})
+    assert at_other[16]
+    same = [unit_row(rng, p, width, 22, set(leads) | {9}) for _ in range(2)]
+    rows = [touching[0], taken[3], two_led, taken[12], touching[1], at_other, same[0],
+            taken[7], [0] * width, touching[2], taken[30], same[1], taken[16], touching[3],
+            [(x + y) % p for x, y in zip(taken[7], touching[1])]]
+    zp = _Zp64(p)
+    y = np.array(rows, dtype=np.uint64, order=order)
+    assert exactla._unit_pivots(zp, y.copy(order=order), len(rows)) == \
+        ([3, 12, 7, 30, 16], [1, 3, 7, 10, 12])
+    lead, new = exactla._gauss_jordan(zp, y, len(rows))
+    assert by_lead(lead, new.tolist()) == by_lead(*python_gauss_jordan(rows, p))
+    assert lead[:5] == [3, 12, 7, 30, 16]
+    # a budget that ends inside the taken rows returns the first of them,
+    # as they are, and touches nothing else
+    for budget in (1, 3):
+        y = np.array(rows, dtype=np.uint64, order=order)
+        lead, new = exactla._gauss_jordan(zp, y, budget)
+        expect = [taken[c] for c in [3, 12, 7][:budget]]
+        assert (lead, new.tolist()) == ([3, 12, 7][:budget], expect)
+        assert (lead, new.tolist()) == python_gauss_jordan(expect, p)
+        assert y.tolist() == rows
+    # rref over several batches of such rows against the sparse reference
+    many = [r for _ in range(3) for r in rows + [unit_row(rng, p, width, c, {c + 1})
+                                                 for c in rng.sample(range(width - 1), 20)]]
+    assert_same_echelon(FieldMatrix.from_array(p, np.array(many, dtype=np.int64)))
 
 
 def test_one_limb_product_is_one_gemm_up_to_its_exact_bound(monkeypatch):
@@ -410,15 +472,17 @@ def test_rows_after_the_rank_bound_are_not_read():
 
 
 def test_relation_matrix_reads_one_block_of_rows():
-    # the (4,4) relation matrix of degree 9: 2574 rows, one column for each
-    # of the 15 distinct products x_k b of the 5 basis monomials of R_9,
-    # rank 14, the bound 15 - CI_10 = 15 - 1, reached within the first read
+    # the (4,4) relation matrix of degree 9: 10 known rows and 2574 pair
+    # rows, one column for each of the 15 distinct products x_k b of the 5
+    # basis monomials of R_9, rank 14, the bound 15 - CI_10 = 15 - 1,
+    # reached within the first read
     ring = seeded_ring(4, 4, P62, 44)
     rel = ring.relation_matrix(9)
     recorded = RecordingRows(from_rows(P62, rel.ncols, rel.rows).rows)
     e = rref(FieldMatrix(P62, rel.ncols, recorded, rank_bound=rel.rank_bound))
     ref = rref_sparse(rel)
-    assert (rel.nrows, rel.ncols, rel.rank_bound, e.rank) == (2574, 15, 14, 14)
+    assert (rel.nrows, rel.rows.known, rel.ncols, rel.rank_bound, e.rank) == \
+        (2574 + 10, 10, 15, 14, 14)
     assert e.pivots == ref.pivots
     assert np.array_equal(e.free_block(), ref.free_block())
     assert recorded.asked == [(0, _ROWS_PER_READ)]
