@@ -1,8 +1,8 @@
 """Exact row reduction and rank certificates over Z/p, p < 2^63.
 
 rref() is one batched Gauss-Jordan for every prime.  Rows are read one
-way, as dense blocks (FieldMatrix.dense), however they are held: an array,
-rows built on request, or the CSR arrays of a matrix dump.  A batch's rows
+way, as dense blocks (FieldMatrix.dense), however they are held: an array
+(a loaded matrix dump is one) or rows built on request.  A batch's rows
 that are pivot rows already (they lead with 1 and are zero at each other's
 leads) are taken first, and one product clears their columns.  matmul_modp()
 is the one exact product it and its callers use: below 2^21, with an inner
@@ -43,9 +43,9 @@ class MatrixFormatError(Exception):
 
 
 class RowArrays:
-    """Rows that are held, or built on demand, as dense blocks ncols wide:
-    subclasses set ncols and define __len__ and dense().  Iterating yields
-    dict rows."""
+    """Rows that are held, or built on demand, as dense blocks ncols wide,
+    the width of the FieldMatrix that holds them: subclasses set ncols and
+    define __len__ and dense().  Iterating yields dict rows."""
 
     ncols: int
 
@@ -66,24 +66,6 @@ class RowArrays:
                 yield dict(zip(nz.tolist(), row[nz].tolist()))
 
 
-class CsrRows(RowArrays):
-    """Rows stored whole as CSR arrays (indptr, intp columns, int64 values
-    in [0, p)), scattered into zeros when read."""
-
-    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
-        self.indptr, self.cols, self.vals, self.ncols = indptr, cols, vals, ncols
-
-    def __len__(self) -> int:
-        return self.indptr.size - 1
-
-    def dense(self, lo: int, hi: int) -> np.ndarray:
-        ip = self.indptr[lo:hi + 1]
-        s, e = int(ip[0]), int(ip[-1])
-        out = np.zeros((hi - lo, self.ncols), dtype=np.int64)
-        out[np.repeat(np.arange(hi - lo), np.diff(ip)), self.cols[s:e]] = self.vals[s:e]
-        return out
-
-
 class ArrayRows(RowArrays):
     """The rows of a 2-D int64 array, held as it is."""
 
@@ -99,15 +81,14 @@ class ArrayRows(RowArrays):
 
 @dataclass
 class FieldMatrix:
-    """Rows over Z/p, held as a RowArrays: stored CSR arrays, an array, or
-    rows built on each request.
+    """Rows over Z/p, held as a RowArrays: an array or rows built on each
+    request.  Its width is theirs, rows.ncols.
 
     rank_bound, when given, must be a proven upper bound on the rank: rref
     stops reading rows once it reaches it.  rows_read counts the leading
     rows handed out through dense()."""
 
     p: int
-    ncols: int
     rows: RowArrays
     rank_bound: Optional[int] = None
     rows_read: int = field(default=0, init=False, compare=False)
@@ -116,11 +97,15 @@ class FieldMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @property
+    def ncols(self) -> int:
+        return self.rows.ncols
+
     @classmethod
     def from_array(cls, p: int, a: np.ndarray) -> FieldMatrix:
         """The matrix of a 2-D int64 array with entries in [0, p), which it
         keeps."""
-        return cls(p, a.shape[1], ArrayRows(a))
+        return cls(p, ArrayRows(a))
 
     def dense(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Rows lo..hi-1 (all by default) as an int64 array of entries in
@@ -528,7 +513,7 @@ def kernel_witness(mat: FieldMatrix, ech: EchelonResult) -> Optional[list[int]]:
 
 
 def _check_oracle_size(nrows: int, ncols: int) -> None:
-    # a row costs at least one cell (its indptr entry) even with no columns
+    # a row counts as at least one cell, even with no columns
     if nrows * max(ncols, 1) > ORACLE_CELL_LIMIT:
         raise SizeGuardExceeded(
             f"oracle limited to {ORACLE_CELL_LIMIT} cells, got {nrows}x{ncols}")
@@ -562,11 +547,11 @@ def dense_rank_oracle(mat: FieldMatrix) -> int:
         inv = pow(int(colv[0]), p - 2, p)
         piv = (w[rk, j + 1:] % p) * inv % p
         if rk + 1 < r:
-            upd = np.outer(colv[1:], piv)
-            if deferred:
-                w[rk + 1:, j + 1:] -= upd
-            else:
-                w[rk + 1:, j + 1:] = (w[rk + 1:, j + 1:] - upd) % p
+            # in place, so no update outlives its step
+            tail = w[rk + 1:, j + 1:]
+            tail -= np.outer(colv[1:], piv)
+            if not deferred:
+                tail %= p
         rk += 1
     return rk
 
@@ -577,10 +562,11 @@ def dense_rank_oracle(mat: FieldMatrix) -> int:
 # then one "row col value" triple per nonzero entry, row-major, 0-indexed
 
 def load_matrix(path) -> FieldMatrix:
-    """The matrix in a dump file.  Before any array is built, a malformed
-    file raises MatrixFormatError, then a modulus that is not a prime below
-    2^62 ValueError (from PrimeField), then a matrix over the dense
-    oracle's cell limit SizeGuardExceeded."""
+    """The matrix in a dump file, its entries scattered into one int64
+    array that it holds.  Before that array is built, a malformed file
+    raises MatrixFormatError, then a modulus that is not a prime below 2^62
+    ValueError (from PrimeField), then a matrix over the dense oracle's
+    cell limit SizeGuardExceeded."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -613,9 +599,7 @@ def load_matrix(path) -> FieldMatrix:
         entries[i, j] = v
     PrimeField(p)
     _check_oracle_size(nrows, ncols)
+    a = np.zeros((nrows, ncols), dtype=np.int64)
     ij = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
-    vals = np.array(list(entries.values()), dtype=np.int64)
-    order = np.argsort(ij[:, 0], kind="stable")  # each row's entries in file order
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ij[:, 0], minlength=nrows), out=indptr[1:])
-    return FieldMatrix(p, ncols, CsrRows(indptr, ij[order, 1], vals[order], ncols))
+    a[ij[:, 0], ij[:, 1]] = list(entries.values())
+    return FieldMatrix.from_array(p, a)

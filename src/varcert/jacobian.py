@@ -223,7 +223,7 @@ class JacobianRing:
         rows = np.zeros((self.n + 1, cols), dtype=np.int64)
         for i, f in enumerate(self.partials):
             rows[i, keys.columns(keys.of(list(f.terms)))] = list(f.terms.values())
-        return FieldMatrix(self.field.p, cols, ArrayRows(rows), rank_bound=cols - self._ci_dim(p))
+        return FieldMatrix(self.field.p, ArrayRows(rows), rank_bound=cols - self._ci_dim(p))
 
     def graded_dim(self, p: int) -> int:
         """dim R_p, from the one elimination of degree p in this ring (see
@@ -268,38 +268,37 @@ class JacobianRing:
 
     def _step(self, p: int) -> None:
         """Eliminate degree p once: from the relations of degree p-1 for
-        p >= d, and at d-1 from the ideal matrix of the n+1 partials.
-        Either keeps the columns of the basis monomials, the stage and the
-        normal forms: an ideal step those of every degree-p monomial, a
-        relation step those of its products, from which `normal_forms`
-        forms the rest on request.  Below d-1 the ideal is empty, so nothing
-        is eliminated: the basis is every monomial, and the normal forms are
-        the identity, kept as none.  An ideal step's normal forms over
-        ENGINE_BYTES_LIMIT are refused, kept or not."""
+        p >= d, and at d-1 from the ideal matrix of the n+1 partials, by one
+        path.  rref's normal forms give those of the monomials the matrix's
+        columns stand for (every degree-p monomial, or the products U_{p-1},
+        from whose T and ucol `normal_forms` forms the rest on request), and
+        its free columns the basis monomials; the stage is kept too.  Below
+        d-1 the ideal is empty, so nothing is eliminated: the basis is every
+        monomial, and the normal forms are the identity, kept as none.
+        Normal forms over ENGINE_BYTES_LIMIT are refused, kept or not."""
         cols = self._check_columns(p)
         relation = p >= self.degree
+        route = "relation" if relation else "ideal"
         if relation:
             self.graded_dim(p - 1)  # the degree below is its own stage
         t0 = time.perf_counter()
-        known = 0
-        if relation:
-            mat = self.relation_matrix(p - 1)
-            nf, basis, rank = self._next_normal_forms(p - 1, mat)
-            shape, read, known = [mat.nrows, mat.ncols], mat.rows_read, mat.rows.known
-        elif p < self.degree - 1:
-            _check_step_bytes(p, "ideal", 8 * cols * cols)
+        if p < self.degree - 1:
+            _check_step_bytes(p, route, 8 * cols * cols)
             nf, basis, rank = None, np.arange(cols, dtype=np.int64), 0
-            shape, read = [0, cols], 0
+            shape, read, known = [0, cols], 0, 0
         else:
-            mat = self._partials_matrix()
+            mat = self.relation_matrix(p - 1) if relation else self._partials_matrix()
+            # the monomial column each column of mat stands for
+            heads, ucol, known = ((mat.rows.products, mat.rows.ucol, mat.rows.known) if relation
+                                  else (np.arange(cols), None, 0))
             e = rref(mat)
-            _check_step_bytes(p, "ideal", 8 * e.ncols * (e.ncols - e.rank))
-            nf = _NormalForms(e.normal_forms(), np.arange(e.ncols), e.ncols)
-            basis, rank = np.array(e.free_columns(), dtype=np.int64), e.rank
+            _check_step_bytes(p, route, 8 * e.ncols * (e.ncols - e.rank))
+            nf = _NormalForms(e.normal_forms(), heads, cols, ucol)
+            basis, rank = heads[list(e.free_columns())], e.rank
             shape, read = [mat.nrows, mat.ncols], mat.rows_read
         self._pieces[p] = nf, basis
         self._stages[p] = {
-            "degree": p, "route": "relation" if relation else "ideal",
+            "degree": p, "route": route,
             "shape": shape, "rows_read": read, "known": known, "rank": rank, "dim": basis.size,
             "ms": round((time.perf_counter() - t0) * 1000, 3)}
 
@@ -366,8 +365,7 @@ class JacobianRing:
         b = np.concatenate([order[last[known]], order[1:][pair]])
         rows = _RelationRows(functools.partial(self.normal_forms, q), m, products,
                              ucol.reshape(n + 1, f), a, b, prime, known.size)
-        return FieldMatrix(prime, products.size, rows,
-                           rank_bound=products.size - self._ci_dim(q + 1))
+        return FieldMatrix(prime, rows, rank_bound=products.size - self._ci_dim(q + 1))
 
     def _check_chain_bytes(self, q: int, f: int) -> None:
         """Refuse, before allocating, a chain step from dim R_q = f whose
@@ -384,22 +382,6 @@ class JacobianRing:
         g = min((self.n + 1) * f, cols)
         _check_step_bytes(q + 1, "relation",
                           8 * (8 * nrows * f + (self.n + 1) * f * g + 2 * cols * g))
-
-    def _next_normal_forms(self, q: int,
-                           rel: FieldMatrix) -> tuple[_NormalForms, np.ndarray, int]:
-        """The normal forms of degree q+1 as kept, the columns of its basis
-        monomials and the rank of rel, the relation matrix of degree q.
-
-        With E = rref(rel), T = E.normal_forms() maps each product in U_q
-        to R_{q+1} in the basis of E's free columns; only T and ucol are
-        kept, and the normal form of any other degree-(q+1) monomial x_k m,
-        NF_q[m] @ T[ucol[k]], is formed when it is first asked for.  E's
-        free columns are distinct products, so they are the new basis
-        monomials."""
-        er = rref(rel)
-        nf = _NormalForms(er.normal_forms(), rel.rows.products, monomial_count(self.n, q + 1),
-                          rel.rows.ucol)
-        return nf, rel.rows.products[list(er.free_columns())], er.rank
 
     def quotient_basis(self, p: int) -> tuple[Monomial, ...]:
         """The monomials whose classes are the basis of R_p that

@@ -118,13 +118,16 @@ def mult_map(ring: JacobianRing, h: HomogeneousForm, p: int) -> GradedMap:
 class RankVerdict:
     outcome: str
     best_rank: int
-    required_rank: int
     source_dim: int
     target_dim: int
     trials_used: int
     failure_bound: Fraction
     witness: Optional[HomogeneousForm] = None
     multiplier: Optional[HomogeneousForm] = None
+
+    @property
+    def required_rank(self) -> int:
+        return min(self.source_dim, self.target_dim)
 
     @property
     def certified(self) -> bool:
@@ -148,7 +151,7 @@ def certify_general_max_rank(ring: JacobianRing, e: int, p: int,
     dim_b = ring.graded_dim(p)
     required = min(dim_a, dim_b)
     if required == 0:
-        return RankVerdict(CERTIFIED_MAX_RANK, 0, 0, dim_a, dim_b,
+        return RankVerdict(CERTIFIED_MAX_RANK, 0, dim_a, dim_b,
                            trials_used=0, failure_bound=Fraction(0))
     best = -1
     gm = None
@@ -158,11 +161,11 @@ def certify_general_max_rank(ring: JacobianRing, e: int, p: int,
         gm = mult_map(ring, h, p)
         best = max(best, gm.rank)
         if gm.rank == required:
-            return RankVerdict(CERTIFIED_MAX_RANK, gm.rank, required, dim_a,
+            return RankVerdict(CERTIFIED_MAX_RANK, gm.rank, dim_a,
                                dim_b, trials_used=trial + 1,
                                failure_bound=Fraction(0), multiplier=h)
     bound = Fraction(required, prime) ** trials
-    return RankVerdict(PROBABLY_DEFICIENT, best, required, dim_a, dim_b,
+    return RankVerdict(PROBABLY_DEFICIENT, best, dim_a, dim_b,
                        trials_used=trials, failure_bound=min(bound, Fraction(1)),
                        witness=gm.kernel_form(), multiplier=gm.h)
 
@@ -170,10 +173,13 @@ def certify_general_max_rank(ring: JacobianRing, e: int, p: int,
 @dataclass
 class WlpReport:
     verdicts: dict[int, RankVerdict]
-    holds: bool
     shared_multiplier: HomogeneousForm
     mirrored: list[int]  # degrees whose verdict was read from their mirror
     descended: list[int]  # degrees whose injectivity descended from the middle one
+
+    @property
+    def holds(self) -> bool:
+        return all(v.certified for v in self.verdicts.values())
 
 
 def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
@@ -219,7 +225,7 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
         dim_b = ring.graded_dim(p)
         required = min(dim_a, dim_b)
         if required == 0:
-            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, 0, dim_a, dim_b,
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, dim_a, dim_b,
                                       trials_used=0, failure_bound=Fraction(0))
             continue
         if p < top and descend:
@@ -230,10 +236,9 @@ def wlp_sweep(ring: JacobianRing, trials: int = DEFAULT_TRIALS,
         else:
             rank = mult_map(ring, shared, p).rank
         if rank == required:
-            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, rank, required,
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, rank,
                                       dim_a, dim_b, trials_used=1,
                                       failure_bound=Fraction(0), multiplier=shared)
         else:
             verdicts[p] = certify_general_max_rank(ring, 1, p, trials, rng_seed)
-    holds = all(v.certified for v in verdicts.values())
-    return WlpReport(verdicts, holds, shared, mirrored, descended)
+    return WlpReport(verdicts, shared, mirrored, descended)

@@ -1,20 +1,38 @@
-"""Helpers only the tests call: matrices from dict rows and their product
-with a vector, the normal forms of rows modulo an echelon, a writer for
-the matrix dump format that `rank-oracle` reads, the injectivity-descent
-property behind C7, the relation matrix with one column per pair
-(variable, basis monomial), and the ideal matrix of any degree, the
-reference the chain's dims, bases and normal forms are checked against."""
+"""Helpers only the tests call: matrices from dict rows, held as CSR
+arrays (`CsrRows`, the sparse fixture), and their product with a vector,
+the normal forms of rows modulo an echelon, a writer for the matrix dump
+format that `rank-oracle` reads, the injectivity-descent property behind
+C7, the relation matrix with one column per pair (variable, basis
+monomial), and the ideal matrix of any degree, the reference the chain's
+dims, bases and normal forms are checked against."""
 
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from varcert.exactla import (_ROWS_PER_READ, CsrRows, EchelonResult, FieldMatrix, RowArrays,
-                             matmul_modp)
+from varcert.exactla import _ROWS_PER_READ, EchelonResult, FieldMatrix, RowArrays, matmul_modp
 from varcert.jacobian import JacobianRing
 from varcert.lefschetz import mult_map
 from varcert.polyring import (HomogeneousForm, Monomial, enumerate_monomials, monomial_count,
                               monomial_keys)
+
+
+class CsrRows(RowArrays):
+    """Rows stored whole as CSR arrays (indptr, intp columns, int64 values
+    in [0, p)), scattered into zeros when read: the sparse fixture."""
+
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
+        self.indptr, self.cols, self.vals, self.ncols = indptr, cols, vals, ncols
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        ip = self.indptr[lo:hi + 1]
+        s, e = int(ip[0]), int(ip[-1])
+        out = np.zeros((hi - lo, self.ncols), dtype=np.int64)
+        out[np.repeat(np.arange(hi - lo), np.diff(ip)), self.cols[s:e]] = self.vals[s:e]
+        return out
 
 
 def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix:
@@ -30,9 +48,9 @@ def from_rows(p: int, ncols: int, rows: Iterable[dict[int, int]]) -> FieldMatrix
                 cols.append(j)
                 vals.append(v)
         indptr.append(len(cols))
-    return FieldMatrix(p, ncols, CsrRows(np.array(indptr, dtype=np.int64),
-                                         np.array(cols, dtype=np.intp),
-                                         np.array(vals, dtype=np.int64), ncols))
+    return FieldMatrix(p, CsrRows(np.array(indptr, dtype=np.int64),
+                                  np.array(cols, dtype=np.intp),
+                                  np.array(vals, dtype=np.int64), ncols))
 
 
 def mul_vector(mat: FieldMatrix, v: Sequence[int]) -> list[int]:
@@ -167,4 +185,4 @@ def ideal_matrix(ring: JacobianRing, p: int) -> FieldMatrix:
     memory at once."""
     cols = ring._check_columns(p)
     rows = IdealRows(ring.n, p, p - (ring.degree - 1), ring.partials)
-    return FieldMatrix(ring.field.p, cols, rows, rank_bound=cols - ring._ci_dim(p))
+    return FieldMatrix(ring.field.p, rows, rank_bound=cols - ring._ci_dim(p))

@@ -18,6 +18,7 @@ from varcert.exactla import (
 )
 from helpers import dump_matrix, from_rows, ideal_matrix, mul_vector, reduce_rows
 from rref_reference import rref_sparse as _rref_sparse
+from varcert.cli import main
 from varcert.jacobian import JacobianRing
 from varcert.polyring import (
     HomogeneousForm,
@@ -174,6 +175,19 @@ def test_oracle_size_guard():
         dense_rank_oracle(m)
 
 
+@pytest.mark.parametrize("p", [1048573, 2147483659], ids=["int64", "object"])
+def test_dense_rank_oracle_leaves_its_input_alone(p):
+    # an ArrayRows matrix, as a loaded dump is, hands out the array it
+    # holds, so the oracle must eliminate a copy on either branch
+    rng = random.Random(p)
+    a = np.array([[0] + [rng.randrange(p) for _ in range(6)]] +
+                 [[rng.randrange(p) for _ in range(7)] for _ in range(5)], dtype=np.int64)
+    mat = FieldMatrix.from_array(p, a.copy())
+    held = mat.dense()
+    assert dense_rank_oracle(mat) == 6
+    assert np.array_equal(held, a)
+
+
 # the last prime below 2^23: its residues take two 21-bit limbs
 P23 = 8388593
 
@@ -208,7 +222,7 @@ def test_float_tier_size_guard_refuses_before_allocating(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_dump_load_roundtrip(tmp_path):
+def test_dump_load_roundtrip(tmp_path, capsys):
     rng = random.Random(13)
     m = rand_mat(rng, 1048573, 6, 9, 0.4)
     path = tmp_path / "mat.txt"
@@ -216,6 +230,15 @@ def test_dump_load_roundtrip(tmp_path):
     m2 = load_matrix(path)
     assert (m2.p, m2.nrows, m2.ncols) == (m.p, m.nrows, m.ncols)
     assert list(m2.rows) == list(m.rows)
+    # a hand-written dump: entries out of row order, row 2 and the last
+    # column empty
+    path = tmp_path / "hand.txt"
+    path.write_text("4 5 1048573\n3 0 5\n0 1 2\n3 3 1048572\n0 0 1\n1 2 7\n")
+    expected = np.array([[1, 2, 0, 0, 0], [0, 0, 7, 0, 0], [0, 0, 0, 0, 0],
+                         [5, 0, 0, 1048572, 0]], dtype=np.int64)
+    assert np.array_equal(load_matrix(path).dense(), expected)
+    assert main(["rank-oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RankAgreement"
 
 
 @pytest.mark.parametrize("text", [

@@ -275,7 +275,7 @@ def route_ring(n, d, text, prime):
 
 def unbounded(mat):
     """The same rows without the rank bound, so an engine reads them all."""
-    return FieldMatrix(mat.p, mat.ncols, mat.rows)
+    return FieldMatrix(mat.p, mat.rows)
 
 
 @pytest.mark.parametrize("prime", [1048573, (1 << 62) - 57])

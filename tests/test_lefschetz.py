@@ -210,12 +210,12 @@ def direct_sweep(ring, trials, rng_seed):
         dim_a, dim_b = ring.graded_dim(p - 1), ring.graded_dim(p)
         required = min(dim_a, dim_b)
         if required == 0:
-            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, 0, dim_a, dim_b,
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, 0, dim_a, dim_b,
                                       trials_used=0, failure_bound=Fraction(0))
             continue
         gm = mult_map(ring, shared, p)
         if gm.rank == required:
-            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, gm.rank, required, dim_a, dim_b,
+            verdicts[p] = RankVerdict(CERTIFIED_MAX_RANK, gm.rank, dim_a, dim_b,
                                       trials_used=1, failure_bound=Fraction(0),
                                       multiplier=shared)
         else:

@@ -11,14 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import from_rows, ideal_matrix, reduce_rows
+from helpers import CsrRows, from_rows, ideal_matrix, reduce_rows
 from rref_reference import rref_sparse
 from varcert import exactla
 from varcert.exactla import (
     _CHUNK,
     _LIMB,
     _ROWS_PER_READ,
-    CsrRows,
     EchelonResult,
     FieldMatrix,
     SizeGuardExceeded,
@@ -437,7 +436,7 @@ def test_rows_after_full_column_rank_are_not_read():
         tail.append({j: v for j, v in row.items() if v})
     rows = head + tail
     recorded = RecordingRows(from_rows(P62, c, rows).rows)
-    e = rref(FieldMatrix(P62, c, recorded))
+    e = rref(FieldMatrix(P62, recorded))
     ref = rref_sparse(from_rows(P62, c, rows))
     assert e.pivots == ref.pivots == tuple(range(c))
     assert e.free_block().shape == ref.free_block().shape == (c, 0)
@@ -461,7 +460,7 @@ def test_rows_after_the_rank_bound_are_not_read():
         tail.append({j: v for j, v in row.items() if v})
     rows = head + tail
     recorded = RecordingRows(from_rows(P62, c, rows).rows)
-    mat = FieldMatrix(P62, c, recorded, rank_bound=k)
+    mat = FieldMatrix(P62, recorded, rank_bound=k)
     e = rref(mat)
     ref = rref_sparse(from_rows(P62, c, rows))
     assert e.rank == ref.rank == k
@@ -479,7 +478,7 @@ def test_relation_matrix_reads_one_block_of_rows():
     ring = seeded_ring(4, 4, P62, 44)
     rel = ring.relation_matrix(9)
     recorded = RecordingRows(from_rows(P62, rel.ncols, rel.rows).rows)
-    e = rref(FieldMatrix(P62, rel.ncols, recorded, rank_bound=rel.rank_bound))
+    e = rref(FieldMatrix(P62, recorded, rank_bound=rel.rank_bound))
     ref = rref_sparse(rel)
     assert (rel.nrows, rel.rows.known, rel.ncols, rel.rank_bound, e.rank) == \
         (2574 + 10, 10, 15, 14, 14)
@@ -572,11 +571,11 @@ def test_a_forged_rank_bound_leaves_a_residue(p, r, c, k):
     rows = [{j: sum(a * b for a, b in zip(row, col)) % p for j, col in enumerate(zip(*v))}
             for row in u]
     mat = from_rows(p, c, rows)
-    got, ref = rref(FieldMatrix(p, c, mat.rows, rank_bound=k)), rref_sparse(mat)
+    got, ref = rref(FieldMatrix(p, mat.rows, rank_bound=k)), rref_sparse(mat)
     assert got.rank == ref.rank == k and got.pivots == ref.pivots
     assert np.array_equal(got.free_block(), ref.free_block())
     with pytest.raises(AssertionError, match="nonzero residue"):
-        rref(FieldMatrix(p, c, mat.rows, rank_bound=k - 1))
+        rref(FieldMatrix(p, mat.rows, rank_bound=k - 1))
 
 
 def test_smoothness_echelon_memory_budget():
